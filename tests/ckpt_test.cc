@@ -15,11 +15,17 @@
 #include "ckpt/checkpoint.h"
 #include "ckpt/checkpointable.h"
 #include "common/rng.h"
+#include "common/simd.h"
 #include "common/thread_pool.h"
+#include "core/extended_pup.h"
 #include "core/pup_model.h"
 #include "data/quantization.h"
 #include "data/synthetic.h"
 #include "models/bpr_mf.h"
+#include "models/deep_fm.h"
+#include "models/fm.h"
+#include "models/gc_mc.h"
+#include "models/ngcf.h"
 #include "train/trainer.h"
 
 namespace pup {
@@ -319,6 +325,126 @@ TEST(CkptFormatTest, OptimizerStateRoundTrip) {
   ag::Adam wrong(small, {.learning_rate = 0.5f});
   EXPECT_FALSE(ckpt::LoadOptimizerState(*reader, &wrong).ok());
   EXPECT_EQ(wrong.ExportState().learning_rate, 0.5f);
+}
+
+// FNV-1a 64 over every byte of the file at `path`.
+uint64_t FileFnv1a64(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  uint64_t h = 0xcbf29ce484222325ull;
+  char c;
+  while (in.get(c)) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// What one model's epoch-2 training snapshot holds.
+struct PinnedSnapshot {
+  // The model's own sections, "model/" dropped, sorted, space-separated.
+  std::string model_sections;
+  // The trainer's sections: 7 of its own plus two Adam moments per tensor.
+  size_t trainer_sections = 0;
+  // FNV-1a 64 of the whole file.
+  uint64_t fnv = 0;
+};
+
+// Fits `config` for 2 epochs with a snapshot after epoch 2 and describes
+// that snapshot.
+template <typename Model, typename Config>
+PinnedSnapshot FitAndSnapshot(Config config, const data::Dataset& ds,
+                              const std::string& tag) {
+  const std::string dir = FreshDir("pin_" + tag);
+  config.train.epochs = 2;
+  config.train.batch_size = 256;
+  config.train.seed = 17;
+  config.train.checkpoint.directory = dir;
+  config.train.checkpoint.save_every = 2;
+  Model model(config);
+  model.Fit(ds, ds.interactions);
+
+  const std::string path = dir + "/ckpt-000002.pupc";
+  PinnedSnapshot snapshot;
+  auto reader = ckpt::Reader::Open(path);
+  EXPECT_TRUE(reader.ok()) << tag << ": " << reader.status().ToString();
+  if (!reader.ok()) return snapshot;
+  for (const std::string& name : reader->SectionNames()) {
+    if (!name.starts_with("model/")) {
+      ++snapshot.trainer_sections;
+      continue;
+    }
+    if (!snapshot.model_sections.empty()) snapshot.model_sections += " ";
+    snapshot.model_sections += name.substr(6);
+  }
+  snapshot.fnv = FileFnv1a64(path);
+  return snapshot;
+}
+
+// What each production model checkpoints, pinned byte for byte at
+// --threads=1 --simd=off: its sections and the FNV-1a 64 of the whole
+// epoch-2 snapshot. A refactor of how models declare their state must
+// leave every file identical, so old snapshots keep resuming.
+TEST(CkptFormatTest, ProductionModelSnapshotsAreByteStable) {
+  ThreadPool::SetGlobalThreads(1);
+  simd::SetActiveIsa(simd::Isa::kOff);
+  const data::Dataset ds = SmallDataset();
+
+  core::PupConfig pup = core::PupConfig::Full();
+  pup.embedding_dim = 16;
+  pup.category_branch_dim = 4;
+  PinnedSnapshot s = FitAndSnapshot<core::Pup>(pup, ds, "pup");
+  EXPECT_EQ(s.model_sections, "category_emb dropout_rng global_emb");
+  EXPECT_EQ(s.trainer_sections, 11u);
+  EXPECT_EQ(s.fnv, 0xa9a4c7a5e7505c4bull);
+
+  core::ExtendedPupConfig extended;
+  extended.embedding_dim = 16;
+  extended.attributes = {
+      {"category", ds.num_categories, ds.item_category, false},
+      {"price", ds.num_price_levels, ds.item_price_level, false},
+  };
+  s = FitAndSnapshot<core::ExtendedPup>(extended, ds, "extended_pup");
+  EXPECT_EQ(s.model_sections, "dropout_rng node_emb");
+  EXPECT_EQ(s.trainer_sections, 9u);
+  EXPECT_EQ(s.fnv, 0x96c6db69205414abull);
+
+  models::BprMfConfig mf;
+  mf.embedding_dim = 16;
+  s = FitAndSnapshot<models::BprMf>(mf, ds, "bpr_mf");
+  EXPECT_EQ(s.model_sections, "item_emb user_emb");
+  EXPECT_EQ(s.trainer_sections, 11u);
+  EXPECT_EQ(s.fnv, 0x20dff894ee19d76aull);
+
+  models::FmConfig fm;
+  fm.embedding_dim = 16;
+  s = FitAndSnapshot<models::Fm>(fm, ds, "fm");
+  EXPECT_EQ(s.model_sections, "feature_bias feature_emb");
+  EXPECT_EQ(s.trainer_sections, 11u);
+  EXPECT_EQ(s.fnv, 0xf2f73a4c3d97c3f1ull);
+
+  models::DeepFmConfig deep_fm;
+  deep_fm.embedding_dim = 16;
+  s = FitAndSnapshot<models::DeepFm>(deep_fm, ds, "deep_fm");
+  EXPECT_EQ(s.model_sections, "b1 b2 b3 feature_bias feature_emb w1 w2 w3");
+  EXPECT_EQ(s.trainer_sections, 23u);
+  EXPECT_EQ(s.fnv, 0xdc79b7274059bab8ull);
+
+  models::GcMcConfig gc_mc;
+  gc_mc.embedding_dim = 16;
+  s = FitAndSnapshot<models::GcMc>(gc_mc, ds, "gc_mc");
+  EXPECT_EQ(s.model_sections, "dropout_rng node_emb weight");
+  EXPECT_EQ(s.trainer_sections, 11u);
+  EXPECT_EQ(s.fnv, 0x14f64c1121a46eafull);
+
+  models::NgcfConfig ngcf;
+  ngcf.embedding_dim = 16;
+  s = FitAndSnapshot<models::Ngcf>(ngcf, ds, "ngcf");
+  EXPECT_EQ(s.model_sections, "dropout_rng node_emb price_emb w1 w2");
+  EXPECT_EQ(s.trainer_sections, 15u);
+  EXPECT_EQ(s.fnv, 0xd1181ec1f60b5e0cull);
+
+  simd::SetActiveIsa(simd::DetectBestIsa());
 }
 
 // ---------------------------------------------------------------------------
