@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -139,94 +138,11 @@ void BM_FmDecoderEq7(benchmark::State& state) {
 }
 BENCHMARK(BM_FmDecoderEq7)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 
-// --- One PUP training step (forward + backward) at bench scale. ---
-void BM_PupForwardBackward(benchmark::State& state) {
-  la::CsrMatrix adj = MakeAdjacency(2000, 1200, 40000);
-  la::CsrMatrix adj_t = adj.Transposed();
-  Rng rng(6);
-  ag::Tensor emb =
-      ag::Param(la::Matrix::Gaussian(adj.rows(), 56, 0.05f, &rng));
-  std::vector<uint32_t> users(1024), pos(1024), neg(1024);
-  for (size_t k = 0; k < 1024; ++k) {
-    users[k] = static_cast<uint32_t>(rng.NextBelow(2000));
-    pos[k] = 2000 + static_cast<uint32_t>(rng.NextBelow(1200));
-    neg[k] = 2000 + static_cast<uint32_t>(rng.NextBelow(1200));
-  }
-  for (auto _ : state) {
-    ag::Tensor f = ag::Tanh(ag::Spmm(&adj, &adj_t, emb));
-    ag::Tensor loss = ag::BprLoss(
-        ag::RowDot(ag::Gather(f, users), ag::Gather(f, pos)),
-        ag::RowDot(ag::Gather(f, users), ag::Gather(f, neg)));
-    emb->ZeroGrad();
-    ag::Backward(loss);
-    benchmark::DoNotOptimize(emb->grad.data());
-  }
-}
-BENCHMARK(BM_PupForwardBackward);
-
-// --- Full training step, heap tape vs arena (Arg: 0 = off, 1 = on). ---
-//
-// Reports the steady-state per-step allocation budget: allocs_per_step /
-// bytes_per_step are Matrix buffer allocations inside the timed loop
-// (two untimed warmup steps first, so one-time buffer growth is not
-// counted); tape_nodes is the tape size per step. With the arena both
-// alloc counters should read 0 and tape_nodes is served from recycled
-// slots.
-void BM_TrainStep(benchmark::State& state) {
-  const bool reuse_tape = state.range(0) != 0;
-  la::CsrMatrix adj = MakeAdjacency(2000, 1200, 40000);
-  la::CsrMatrix adj_t = adj.Transposed();
-  Rng rng(7);
-  ag::Tensor emb =
-      ag::Param(la::Matrix::Gaussian(adj.rows(), 56, 0.05f, &rng));
-  ag::Sgd opt({emb}, 0.05f);
-  std::vector<uint32_t> users(1024), pos(1024), neg(1024);
-  for (size_t k = 0; k < 1024; ++k) {
-    users[k] = static_cast<uint32_t>(rng.NextBelow(2000));
-    pos[k] = 2000 + static_cast<uint32_t>(rng.NextBelow(1200));
-    neg[k] = 2000 + static_cast<uint32_t>(rng.NextBelow(1200));
-  }
-  ag::TapeArena arena;
-  auto step = [&] {
-    std::optional<ag::TapeArena::Scope> scope;
-    if (reuse_tape) scope.emplace(&arena);
-    ag::Tensor f = ag::Tanh(ag::Spmm(&adj, &adj_t, emb));
-    ag::Tensor u = ag::Gather(f, users);
-    ag::Tensor p = ag::Gather(f, pos);
-    ag::Tensor n = ag::Gather(f, neg);
-    ag::Tensor loss =
-        ag::FusedL2Penalty(ag::RowDotSigmoidBpr(u, p, n), {u, p, n}, 1e-4f);
-    opt.ZeroGrad();
-    ag::Backward(loss);
-    opt.Step();
-    if (reuse_tape) arena.Reset();
-  };
-  step();
-  step();
-  const la::AllocStats alloc0 = la::MatrixAllocStats();
-  const uint64_t heap0 = ag::HeapNodesAllocated();
-  size_t iters = 0;
-  for (auto _ : state) {
-    step();
-    benchmark::DoNotOptimize(emb->value.data());
-    ++iters;
-  }
-  const la::AllocStats alloc1 = la::MatrixAllocStats();
-  const double n_iters = static_cast<double>(iters);
-  state.counters["allocs_per_step"] =
-      static_cast<double>(alloc1.count - alloc0.count) / n_iters;
-  state.counters["bytes_per_step"] =
-      static_cast<double>(alloc1.bytes - alloc0.bytes) / n_iters;
-  state.counters["tape_nodes"] =
-      reuse_tape
-          ? static_cast<double>(arena.stats().last_tape_nodes)
-          : static_cast<double>(ag::HeapNodesAllocated() - heap0) / n_iters;
-}
-BENCHMARK(BM_TrainStep)->Arg(0)->Arg(1);
-
 // --- NumericGuard cost (Arg: 0 = guard off, 1 = guard on). -------------
 //
-// Same arena-backed step as BM_TrainStep/1 plus the two tape scans the
+// One arena-backed training step at bench scale — tanh(Â·E) over a
+// 3200-node graph, the fused BPR + L2 head on a 1024-triple batch,
+// backward and an SGD update — plus, in Arg(1), the two tape scans the
 // trainer runs under --check-numerics. The Arg(0) case records the
 // unguarded per-step time (registration order guarantees it runs first)
 // and reports check_numerics_overhead = 0; the Arg(1) case reports the
@@ -297,11 +213,13 @@ BENCHMARK(BM_TrainStepCheckNumerics)->Arg(0)->Arg(1);
 
 // --- pup::obs cost (Arg: 0 = metrics off, 1 = metrics on). -------------
 //
-// Same arena-backed step as BM_TrainStep/1, run with the global metrics
-// switch toggled. The step already passes through every instrumented
-// layer (la dispatch counters, thread-pool spans) and adds the same
-// scoped timer the trainer wraps around RunBatchStep, so Arg(1) measures
-// the real end-to-end recording cost. Registration order guarantees the
+// One arena-backed training step at bench scale — tanh(Â·E) over a
+// 3200-node graph, the fused BPR + L2 head on a 1024-triple batch,
+// backward and an SGD update — run with the global metrics switch
+// toggled. The step passes through every instrumented layer (la dispatch
+// counters, thread-pool spans) and adds the same scoped timer the
+// trainer wraps around RunBatchStep, so Arg(1) measures the real
+// end-to-end recording cost. Registration order guarantees the
 // metrics-off baseline runs first; the Arg(1) case reports
 // metrics_overhead = on/off - 1 with an acceptance bar of < 0.03.
 // obs_allocs_per_step must read 0 in both cases: steady-state recording

@@ -26,6 +26,14 @@ int main(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
   ApplyThreadsFlag(flags);  // --threads=N, default: all cores.
   ApplySimdFlag(flags);     // --simd=auto|off|..., default: auto.
+  // --ckpt-dir/--save-every/--resume make the training runs crash-safe;
+  // each model snapshots into its own subdirectory.
+  Result<train::CheckpointOptions> checkpoint =
+      train::CheckpointOptionsFromFlags(flags);
+  if (!checkpoint.ok()) {
+    std::fprintf(stderr, "%s\n", checkpoint.status().ToString().c_str());
+    return 2;
+  }
   // --metrics-out / --trace-out: dump metrics JSON ("-" = table on
   // stderr) and a chrome://tracing event trace at exit.
   obs::ScopedExport obs_export(flags.GetString("metrics-out", ""),
@@ -46,10 +54,8 @@ int main(int argc, char** argv) {
   std::printf("users with unexplored-category test purchases: %zu (CIR)\n\n",
               cir.num_active_users);
 
-  // --ckpt-dir/--save-every/--resume make the training runs crash-safe;
-  // each model snapshots into its own subdirectory.
-  auto checkpoint_in = [&flags](const char* tag) {
-    train::CheckpointOptions c = train::CheckpointOptionsFromFlags(flags);
+  auto checkpoint_in = [&checkpoint](const char* tag) {
+    train::CheckpointOptions c = *checkpoint;
     if (!c.directory.empty()) c.directory += std::string("/") + tag;
     if (!c.resume_from.empty()) c.resume_from += std::string("/") + tag;
     return c;

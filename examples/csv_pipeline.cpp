@@ -28,6 +28,13 @@ int main(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
   ApplyThreadsFlag(flags);  // --threads=N, default: all cores.
   ApplySimdFlag(flags);     // --simd=auto|off|..., default: auto.
+  // --ckpt-dir/--save-every/--resume make the training run crash-safe.
+  Result<train::CheckpointOptions> checkpoint =
+      train::CheckpointOptionsFromFlags(flags);
+  if (!checkpoint.ok()) {
+    std::fprintf(stderr, "%s\n", checkpoint.status().ToString().c_str());
+    return 2;
+  }
   // --metrics-out / --trace-out: dump metrics JSON ("-" = table on
   // stderr) and a chrome://tracing event trace at exit.
   obs::ScopedExport obs_export(flags.GetString("metrics-out", ""),
@@ -59,8 +66,7 @@ int main(int argc, char** argv) {
   // plus a bias column — framework-free deployment artifacts.
   core::PupConfig config = core::PupConfig::Full();
   config.train.epochs = 15;
-  // --ckpt-dir/--save-every/--resume make the training run crash-safe.
-  config.train.checkpoint = train::CheckpointOptionsFromFlags(flags);
+  config.train.checkpoint = *checkpoint;
   train::ApplyCheckNumericsFlag(flags, &config.train);
   core::Pup model(config);
   model.Fit(dataset, split.train);

@@ -24,6 +24,14 @@ int main(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
   ApplyThreadsFlag(flags);  // --threads=N, default: all cores.
   ApplySimdFlag(flags);     // --simd=auto|off|..., default: auto.
+  // --ckpt-dir/--save-every/--resume make the training runs crash-safe;
+  // each variant snapshots into its own subdirectory.
+  Result<train::CheckpointOptions> checkpoint =
+      train::CheckpointOptionsFromFlags(flags);
+  if (!checkpoint.ok()) {
+    std::fprintf(stderr, "%s\n", checkpoint.status().ToString().c_str());
+    return 2;
+  }
   // --metrics-out / --trace-out: dump metrics JSON ("-" = table on
   // stderr) and a chrome://tracing event trace at exit.
   obs::ScopedExport obs_export(flags.GetString("metrics-out", ""),
@@ -79,9 +87,7 @@ int main(int argc, char** argv) {
     config.embedding_dim = 32;
     config.attributes = variant.attributes;
     config.train.epochs = 20;
-    // --ckpt-dir/--save-every/--resume make the training runs crash-safe;
-    // each variant snapshots into its own subdirectory.
-    config.train.checkpoint = train::CheckpointOptionsFromFlags(flags);
+    config.train.checkpoint = *checkpoint;
     train::ApplyCheckNumericsFlag(flags, &config.train);
     std::string tag = "/variant-" + std::to_string(v);
     if (!config.train.checkpoint.directory.empty()) {

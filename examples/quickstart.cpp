@@ -30,6 +30,13 @@ int main(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
   ApplyThreadsFlag(flags);  // --threads=N, default: all cores.
   ApplySimdFlag(flags);     // --simd=auto|off|..., default: auto.
+  // --ckpt-dir/--save-every/--resume make the training run crash-safe.
+  Result<train::CheckpointOptions> checkpoint =
+      train::CheckpointOptionsFromFlags(flags);
+  if (!checkpoint.ok()) {
+    std::fprintf(stderr, "%s\n", checkpoint.status().ToString().c_str());
+    return 2;
+  }
   // --metrics-out / --trace-out: dump metrics JSON ("-" = table on
   // stderr) and a chrome://tracing event trace at exit.
   obs::ScopedExport obs_export(flags.GetString("metrics-out", ""),
@@ -50,7 +57,7 @@ int main(int argc, char** argv) {
   data::DataSplit split = data::TemporalSplit(dataset);
   core::PupConfig config = core::PupConfig::Full();  // 56/8 two-branch.
   config.train.epochs = 20;
-  config.train.checkpoint = train::CheckpointOptionsFromFlags(flags);
+  config.train.checkpoint = *checkpoint;
   train::ApplyCheckNumericsFlag(flags, &config.train);
   PUP_CHECK(train::ApplyNegSamplingFlags(flags, &config.train).ok());
   config.max_neighbors = static_cast<size_t>(

@@ -65,7 +65,8 @@ class Writer {
       : fingerprint_(fingerprint) {}
 
   /// Adds a raw binary section. Names must be unique per file; the
-  /// "model/"-prefix is reserved for Checkpointable implementations.
+  /// "model/"-prefix is reserved for the trainer's snapshot of a model's
+  /// train::TrainableState.
   void AddBytes(const std::string& name, std::string payload);
 
   void AddMatrix(const std::string& name, const la::Matrix& m);

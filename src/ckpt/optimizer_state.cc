@@ -1,35 +1,6 @@
-#include "ckpt/checkpointable.h"
+#include "ckpt/optimizer_state.h"
 
 namespace pup::ckpt {
-
-void SaveMatrixSections(
-    const std::vector<std::pair<std::string, const la::Matrix*>>& entries,
-    Writer* writer) {
-  for (const auto& [name, matrix] : entries) {
-    writer->AddMatrix(name, *matrix);
-  }
-}
-
-Status LoadMatrixSections(
-    const Reader& reader,
-    const std::vector<std::pair<std::string, la::Matrix*>>& entries) {
-  std::vector<la::Matrix> staged;
-  staged.reserve(entries.size());
-  for (const auto& [name, dst] : entries) {
-    PUP_ASSIGN_OR_RETURN(la::Matrix m, reader.GetMatrix(name));
-    if (m.rows() != dst->rows() || m.cols() != dst->cols()) {
-      return Status::FailedPrecondition(
-          "section '" + name + "' is " + std::to_string(m.rows()) + "x" +
-          std::to_string(m.cols()) + ", model expects " +
-          std::to_string(dst->rows()) + "x" + std::to_string(dst->cols()));
-    }
-    staged.push_back(std::move(m));
-  }
-  for (size_t i = 0; i < entries.size(); ++i) {
-    *entries[i].second = std::move(staged[i]);
-  }
-  return Status::OK();
-}
 
 Status SaveOptimizerState(const ag::Optimizer& optimizer, Writer* writer) {
   ag::OptimizerState state = optimizer.ExportState();

@@ -144,26 +144,10 @@ void ExtendedPup::ScoreItems(uint32_t user, std::vector<float>* out) const {
   scorer_.ScoreItems(user, out);
 }
 
-std::vector<ag::Tensor> ExtendedPup::Parameters() { return {node_emb_}; }
-
-Status ExtendedPup::SaveState(ckpt::Writer* writer) const {
-  if (node_emb_ == nullptr) {
-    return Status::FailedPrecondition("ExtendedPUP is not initialized");
-  }
-  ckpt::SaveMatrixSections({{"model/node_emb", &node_emb_->value}}, writer);
-  writer->AddRng("model/dropout_rng", dropout_rng_.SaveState());
-  return Status::OK();
-}
-
-Status ExtendedPup::LoadState(const ckpt::Reader& reader) {
-  if (node_emb_ == nullptr) {
-    return Status::FailedPrecondition("ExtendedPUP is not initialized");
-  }
-  PUP_ASSIGN_OR_RETURN(RngState rng, reader.GetRng("model/dropout_rng"));
-  PUP_RETURN_NOT_OK(ckpt::LoadMatrixSections(
-      reader, {{"model/node_emb", &node_emb_->value}}));
-  dropout_rng_.RestoreState(rng);
-  return Status::OK();
+train::TrainableState ExtendedPup::State() {
+  return {.key = "extended-pup",
+          .tensors = {{"node_emb", node_emb_}},
+          .dropout_rng = &dropout_rng_};
 }
 
 train::BprTrainable::BatchGraph ExtendedPup::ForwardBatch(

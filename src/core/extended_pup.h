@@ -20,7 +20,6 @@
 #include <string>
 
 #include "autograd/tensor.h"
-#include "ckpt/checkpointable.h"
 #include "graph/attribute_graph.h"
 #include "models/recommender.h"
 #include "models/scoring.h"
@@ -49,8 +48,7 @@ struct ExtendedPupConfig {
 
 /// PUP generalized to arbitrary categorical attribute blocks.
 class ExtendedPup : public models::Recommender,
-                    public train::BprTrainable,
-                    public ckpt::Checkpointable {
+                    public train::BprTrainable {
  public:
   explicit ExtendedPup(ExtendedPupConfig config)
       : config_(std::move(config)) {}
@@ -66,18 +64,14 @@ class ExtendedPup : public models::Recommender,
     return scorer_.initialized() ? &scorer_ : nullptr;
   }
 
-  std::vector<ag::Tensor> Parameters() override;
+  /// The node embedding table plus the dropout stream.
+  train::TrainableState State() override;
   BatchGraph ForwardBatch(const std::vector<uint32_t>& users,
                           const std::vector<uint32_t>& pos_items,
                           const std::vector<uint32_t>& neg_items,
                           bool training) override;
 
   const graph::AttributeGraph* graph() const { return graph_.get(); }
-
-  // ckpt::Checkpointable (includes the dropout RNG stream):
-  std::string checkpoint_key() const override { return "extended-pup"; }
-  Status SaveState(ckpt::Writer* writer) const override;
-  Status LoadState(const ckpt::Reader& reader) override;
 
  private:
   /// Propagated representations tanh(Â E), with dropout when training.

@@ -222,10 +222,14 @@ void Pup::ScoreItems(uint32_t user, std::vector<float>* out) const {
   scorer_.ScoreItems(user, out);
 }
 
-std::vector<ag::Tensor> Pup::Parameters() {
-  std::vector<ag::Tensor> params = {global_.emb};
-  if (config_.two_branch) params.push_back(category_.emb);
-  return params;
+train::TrainableState Pup::State() {
+  train::TrainableState state{.key = "pup",
+                              .tensors = {{"global_emb", global_.emb}},
+                              .dropout_rng = &dropout_rng_};
+  if (config_.two_branch) {
+    state.tensors.emplace_back("category_emb", category_.emb);
+  }
+  return state;
 }
 
 train::BprTrainable::BatchGraph Pup::ForwardBatch(
@@ -286,35 +290,6 @@ train::BprTrainable::BatchGraph Pup::ForwardBatch(
     batch.l2_terms.push_back(ag::Gather(category_.emb, pos_prices_));  // NOLINT(pup-hot-transitive): <= #fields terms.
   }
   return batch;
-}
-
-Status Pup::SaveState(ckpt::Writer* writer) const {
-  if (global_.emb == nullptr) {
-    return Status::FailedPrecondition("PUP is not initialized");
-  }
-  std::vector<std::pair<std::string, const la::Matrix*>> entries = {
-      {"model/global_emb", &global_.emb->value}};
-  if (config_.two_branch) {
-    entries.emplace_back("model/category_emb", &category_.emb->value);
-  }
-  ckpt::SaveMatrixSections(entries, writer);
-  writer->AddRng("model/dropout_rng", dropout_rng_.SaveState());
-  return Status::OK();
-}
-
-Status Pup::LoadState(const ckpt::Reader& reader) {
-  if (global_.emb == nullptr) {
-    return Status::FailedPrecondition("PUP is not initialized");
-  }
-  std::vector<std::pair<std::string, la::Matrix*>> entries = {
-      {"model/global_emb", &global_.emb->value}};
-  if (config_.two_branch) {
-    entries.emplace_back("model/category_emb", &category_.emb->value);
-  }
-  PUP_ASSIGN_OR_RETURN(RngState rng, reader.GetRng("model/dropout_rng"));
-  PUP_RETURN_NOT_OK(ckpt::LoadMatrixSections(reader, entries));
-  dropout_rng_.RestoreState(rng);
-  return Status::OK();
 }
 
 la::Matrix Pup::GlobalPriceEmbeddings() const {

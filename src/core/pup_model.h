@@ -21,7 +21,6 @@
 #include <string>
 
 #include "autograd/tensor.h"
-#include "ckpt/checkpointable.h"
 #include "graph/hetero_graph.h"
 #include "models/recommender.h"
 #include "models/scoring.h"
@@ -76,9 +75,7 @@ struct PupConfig {
 };
 
 /// The PUP recommender.
-class Pup : public models::Recommender,
-            public train::BprTrainable,
-            public ckpt::Checkpointable {
+class Pup : public models::Recommender, public train::BprTrainable {
  public:
   explicit Pup(PupConfig config = PupConfig::Full());
 
@@ -93,19 +90,14 @@ class Pup : public models::Recommender,
     return scorer_.initialized() ? &scorer_ : nullptr;
   }
 
-  std::vector<ag::Tensor> Parameters() override;
+  /// Both branch embedding tables plus the dropout stream.
+  train::TrainableState State() override;
   BatchGraph ForwardBatch(const std::vector<uint32_t>& users,
                           const std::vector<uint32_t>& pos_items,
                           const std::vector<uint32_t>& neg_items,
                           bool training) override;
 
   const PupConfig& config() const { return config_; }
-
-  // ckpt::Checkpointable: both branch embedding tables plus the dropout
-  // RNG stream.
-  std::string checkpoint_key() const override { return "pup"; }
-  Status SaveState(ckpt::Writer* writer) const override;
-  Status LoadState(const ckpt::Reader& reader) override;
 
   /// Propagated price-level embeddings of the global branch (the learned
   /// "purchasing power" axis) — used by analysis examples. Only valid

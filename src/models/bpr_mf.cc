@@ -20,8 +20,9 @@ void BprMf::ScoreItems(uint32_t user, std::vector<float>* out) const {
   scorer_.ScoreItems(user, out);
 }
 
-std::vector<ag::Tensor> BprMf::Parameters() {
-  return {user_emb_, item_emb_};
+train::TrainableState BprMf::State() {
+  return {.key = "bpr-mf",
+          .tensors = {{"user_emb", user_emb_}, {"item_emb", item_emb_}}};
 }
 
 train::BprTrainable::BatchGraph BprMf::ForwardBatch(
@@ -35,25 +36,6 @@ train::BprTrainable::BatchGraph BprMf::ForwardBatch(
   batch.neg_scores = ag::RowDot(u, n);
   batch.l2_terms = {u, p, n};
   return batch;
-}
-
-Status BprMf::SaveState(ckpt::Writer* writer) const {
-  if (user_emb_ == nullptr || item_emb_ == nullptr) {
-    return Status::FailedPrecondition("BPR-MF is not initialized");
-  }
-  ckpt::SaveMatrixSections({{"model/user_emb", &user_emb_->value},
-                            {"model/item_emb", &item_emb_->value}},
-                           writer);
-  return Status::OK();
-}
-
-Status BprMf::LoadState(const ckpt::Reader& reader) {
-  if (user_emb_ == nullptr || item_emb_ == nullptr) {
-    return Status::FailedPrecondition("BPR-MF is not initialized");
-  }
-  return ckpt::LoadMatrixSections(reader,
-                                  {{"model/user_emb", &user_emb_->value},
-                                   {"model/item_emb", &item_emb_->value}});
 }
 
 train::BprTrainable::BatchLossGraph BprMf::ForwardBatchLoss(

@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "autograd/tensor.h"
-#include "ckpt/checkpointable.h"
 #include "models/recommender.h"
 #include "models/scoring.h"
 #include "train/trainer.h"
@@ -21,9 +20,7 @@ struct BprMfConfig {
 };
 
 /// score(u, i) = ⟨e_u, e_i⟩ with embeddings learned by minibatch BPR.
-class BprMf : public Recommender,
-              public train::BprTrainable,
-              public ckpt::Checkpointable {
+class BprMf : public Recommender, public train::BprTrainable {
  public:
   explicit BprMf(BprMfConfig config = {}) : config_(std::move(config)) {}
 
@@ -39,7 +36,7 @@ class BprMf : public Recommender,
   }
 
   // BprTrainable:
-  std::vector<ag::Tensor> Parameters() override;
+  train::TrainableState State() override;
   BatchGraph ForwardBatch(const std::vector<uint32_t>& users,
                           const std::vector<uint32_t>& pos_items,
                           const std::vector<uint32_t>& neg_items,
@@ -50,11 +47,6 @@ class BprMf : public Recommender,
                                   const std::vector<uint32_t>& pos_items,
                                   const std::vector<uint32_t>& neg_items,
                                   bool training) override;
-
-  // ckpt::Checkpointable:
-  std::string checkpoint_key() const override { return "bpr-mf"; }
-  Status SaveState(ckpt::Writer* writer) const override;
-  Status LoadState(const ckpt::Reader& reader) override;
 
  private:
   BprMfConfig config_;

@@ -115,8 +115,16 @@ void DeepFm::ScoreItems(uint32_t user, std::vector<float>* out) const {
   }
 }
 
-std::vector<ag::Tensor> DeepFm::Parameters() {
-  return {feature_emb_, feature_bias_, w1_, b1_, w2_, b2_, w3_, b3_};
+train::TrainableState DeepFm::State() {
+  train::TrainableState state = Fm::State();
+  state.key = "deep-fm";
+  state.tensors.emplace_back("w1", w1_);
+  state.tensors.emplace_back("b1", b1_);
+  state.tensors.emplace_back("w2", w2_);
+  state.tensors.emplace_back("b2", b2_);
+  state.tensors.emplace_back("w3", w3_);
+  state.tensors.emplace_back("b3", b3_);
+  return state;
 }
 
 ag::Tensor DeepFm::DeepScore(const FieldEmbeddings& fields) {
@@ -127,39 +135,6 @@ ag::Tensor DeepFm::DeepScore(const FieldEmbeddings& fields) {
   ag::Tensor h2 =
       ag::LeakyRelu(ag::AddBroadcastRow(ag::MatMul(h1, w2_), b2_));
   return ag::AddBroadcastRow(ag::MatMul(h2, w3_), b3_);
-}
-
-Status DeepFm::SaveState(ckpt::Writer* writer) const {
-  PUP_RETURN_NOT_OK(Fm::SaveState(writer));
-  if (w1_ == nullptr) {
-    return Status::FailedPrecondition("DeepFM is not initialized");
-  }
-  ckpt::SaveMatrixSections(
-      {{"model/w1", &w1_->value},
-       {"model/b1", &b1_->value},
-       {"model/w2", &w2_->value},
-       {"model/b2", &b2_->value},
-       {"model/w3", &w3_->value},
-       {"model/b3", &b3_->value}},
-      writer);
-  return Status::OK();
-}
-
-Status DeepFm::LoadState(const ckpt::Reader& reader) {
-  if (feature_emb_ == nullptr || w1_ == nullptr) {
-    return Status::FailedPrecondition("DeepFM is not initialized");
-  }
-  // One staged load over all tables so a bad MLP section cannot leave the
-  // FM tables half-restored.
-  return ckpt::LoadMatrixSections(
-      reader, {{"model/feature_emb", &feature_emb_->value},
-               {"model/feature_bias", &feature_bias_->value},
-               {"model/w1", &w1_->value},
-               {"model/b1", &b1_->value},
-               {"model/w2", &w2_->value},
-               {"model/b2", &b2_->value},
-               {"model/w3", &w3_->value},
-               {"model/b3", &b3_->value}});
 }
 
 train::BprTrainable::BatchGraph DeepFm::ForwardBatch(

@@ -37,16 +37,12 @@ class DeepFm : public Fm {
 
   void ScoreItems(uint32_t user, std::vector<float>* out) const override;
 
-  std::vector<ag::Tensor> Parameters() override;
+  /// FM's state extended with the MLP parameters.
+  train::TrainableState State() override;
   BatchGraph ForwardBatch(const std::vector<uint32_t>& users,
                           const std::vector<uint32_t>& pos_items,
                           const std::vector<uint32_t>& neg_items,
                           bool training) override;
-
-  // ckpt::Checkpointable: the FM tables plus the MLP parameters.
-  std::string checkpoint_key() const override { return "deep-fm"; }
-  Status SaveState(ckpt::Writer* writer) const override;
-  Status LoadState(const ckpt::Reader& reader) override;
 
  private:
   /// Deep-component score (B, 1) from the gathered field embeddings.

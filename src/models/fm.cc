@@ -70,8 +70,10 @@ void Fm::ScoreItems(uint32_t user, std::vector<float>* out) const {
   scorer_.ScoreItems(user, out);
 }
 
-std::vector<ag::Tensor> Fm::Parameters() {
-  return {feature_emb_, feature_bias_};
+train::TrainableState Fm::State() {
+  return {.key = "fm",
+          .tensors = {{"feature_emb", feature_emb_},
+                      {"feature_bias", feature_bias_}}};
 }
 
 ag::Tensor Fm::ScoreBatch(const std::vector<uint32_t>& users,
@@ -119,25 +121,6 @@ ag::Tensor Fm::ScoreBatch(const std::vector<uint32_t>& users,
     l2_terms->push_back(ep);  // NOLINT(pup-hot-transitive): <= #fields terms.
   }
   return ag::Add(pairwise, linear);
-}
-
-Status Fm::SaveState(ckpt::Writer* writer) const {
-  if (feature_emb_ == nullptr || feature_bias_ == nullptr) {
-    return Status::FailedPrecondition("FM is not initialized");
-  }
-  ckpt::SaveMatrixSections({{"model/feature_emb", &feature_emb_->value},
-                            {"model/feature_bias", &feature_bias_->value}},
-                           writer);
-  return Status::OK();
-}
-
-Status Fm::LoadState(const ckpt::Reader& reader) {
-  if (feature_emb_ == nullptr || feature_bias_ == nullptr) {
-    return Status::FailedPrecondition("FM is not initialized");
-  }
-  return ckpt::LoadMatrixSections(
-      reader, {{"model/feature_emb", &feature_emb_->value},
-               {"model/feature_bias", &feature_bias_->value}});
 }
 
 train::BprTrainable::BatchGraph Fm::ForwardBatch(

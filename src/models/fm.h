@@ -12,7 +12,6 @@
 #include <memory>
 
 #include "autograd/tensor.h"
-#include "ckpt/checkpointable.h"
 #include "models/recommender.h"
 #include "common/rng.h"
 #include "models/scoring.h"
@@ -28,9 +27,7 @@ struct FmConfig {
 };
 
 /// 2-way FM over {user, item, category, price} features, BPR-trained.
-class Fm : public Recommender,
-           public train::BprTrainable,
-           public ckpt::Checkpointable {
+class Fm : public Recommender, public train::BprTrainable {
  public:
   explicit Fm(FmConfig config = {}) : config_(std::move(config)) {}
 
@@ -45,17 +42,12 @@ class Fm : public Recommender,
     return scorer_.initialized() ? &scorer_ : nullptr;
   }
 
-  // BprTrainable:
-  std::vector<ag::Tensor> Parameters() override;
+  // BprTrainable (DeepFM extends the state with its MLP parameters):
+  train::TrainableState State() override;
   BatchGraph ForwardBatch(const std::vector<uint32_t>& users,
                           const std::vector<uint32_t>& pos_items,
                           const std::vector<uint32_t>& neg_items,
                           bool training) override;
-
-  // ckpt::Checkpointable (DeepFM overrides to add its MLP parameters):
-  std::string checkpoint_key() const override { return "fm"; }
-  Status SaveState(ckpt::Writer* writer) const override;
-  Status LoadState(const ckpt::Reader& reader) override;
 
  protected:
   /// The four gathered per-example embedding blocks (B, d) each.

@@ -53,7 +53,11 @@ void GcMc::ScoreItems(uint32_t user, std::vector<float>* out) const {
   scorer_.ScoreItems(user, out);
 }
 
-std::vector<ag::Tensor> GcMc::Parameters() { return {node_emb_, weight_}; }
+train::TrainableState GcMc::State() {
+  return {.key = "gc-mc",
+          .tensors = {{"node_emb", node_emb_}, {"weight", weight_}},
+          .dropout_rng = &dropout_rng_};
+}
 
 void GcMc::BuildBatchNodes(const std::vector<uint32_t>& users,
                            const std::vector<uint32_t>& pos_items,
@@ -86,29 +90,6 @@ train::BprTrainable::BatchGraph GcMc::ForwardBatch(
                     ag::Gather(node_emb_, pos_nodes_),
                     ag::Gather(node_emb_, neg_nodes_)};
   return batch;
-}
-
-Status GcMc::SaveState(ckpt::Writer* writer) const {
-  if (node_emb_ == nullptr || weight_ == nullptr) {
-    return Status::FailedPrecondition("GC-MC is not initialized");
-  }
-  ckpt::SaveMatrixSections({{"model/node_emb", &node_emb_->value},
-                            {"model/weight", &weight_->value}},
-                           writer);
-  writer->AddRng("model/dropout_rng", dropout_rng_.SaveState());
-  return Status::OK();
-}
-
-Status GcMc::LoadState(const ckpt::Reader& reader) {
-  if (node_emb_ == nullptr || weight_ == nullptr) {
-    return Status::FailedPrecondition("GC-MC is not initialized");
-  }
-  PUP_ASSIGN_OR_RETURN(RngState rng, reader.GetRng("model/dropout_rng"));
-  PUP_RETURN_NOT_OK(ckpt::LoadMatrixSections(
-      reader, {{"model/node_emb", &node_emb_->value},
-               {"model/weight", &weight_->value}}));
-  dropout_rng_.RestoreState(rng);
-  return Status::OK();
 }
 
 train::BprTrainable::BatchLossGraph GcMc::ForwardBatchLoss(

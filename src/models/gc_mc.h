@@ -14,7 +14,6 @@
 #include <memory>
 
 #include "autograd/tensor.h"
-#include "ckpt/checkpointable.h"
 #include "graph/hetero_graph.h"
 #include "models/recommender.h"
 #include "models/scoring.h"
@@ -33,9 +32,7 @@ struct GcMcConfig {
 };
 
 /// One-layer GCN on the bipartite graph with a dot decoder, BPR-trained.
-class GcMc : public Recommender,
-             public train::BprTrainable,
-             public ckpt::Checkpointable {
+class GcMc : public Recommender, public train::BprTrainable {
  public:
   explicit GcMc(GcMcConfig config = {}) : config_(std::move(config)) {}
 
@@ -50,7 +47,8 @@ class GcMc : public Recommender,
     return scorer_.initialized() ? &scorer_ : nullptr;
   }
 
-  std::vector<ag::Tensor> Parameters() override;
+  /// Node embeddings and W, plus the dropout stream.
+  train::TrainableState State() override;
   BatchGraph ForwardBatch(const std::vector<uint32_t>& users,
                           const std::vector<uint32_t>& pos_items,
                           const std::vector<uint32_t>& neg_items,
@@ -60,11 +58,6 @@ class GcMc : public Recommender,
                                   const std::vector<uint32_t>& pos_items,
                                   const std::vector<uint32_t>& neg_items,
                                   bool training) override;
-
-  // ckpt::Checkpointable (includes the dropout RNG stream):
-  std::string checkpoint_key() const override { return "gc-mc"; }
-  Status SaveState(ckpt::Writer* writer) const override;
-  Status LoadState(const ckpt::Reader& reader) override;
 
  private:
   /// Propagated node representations (num_nodes, d).

@@ -82,8 +82,13 @@ void Ngcf::ScoreItems(uint32_t user, std::vector<float>* out) const {
   scorer_.ScoreItems(user, out);
 }
 
-std::vector<ag::Tensor> Ngcf::Parameters() {
-  return {node_emb_, price_emb_, w1_, w2_};
+train::TrainableState Ngcf::State() {
+  return {.key = "ngcf",
+          .tensors = {{"node_emb", node_emb_},
+                      {"price_emb", price_emb_},
+                      {"w1", w1_},
+                      {"w2", w2_}},
+          .dropout_rng = &dropout_rng_};
 }
 
 void Ngcf::BuildBatchNodes(const std::vector<uint32_t>& users,
@@ -116,33 +121,6 @@ train::BprTrainable::BatchGraph Ngcf::ForwardBatch(
                     ag::Gather(node_emb_, pos_nodes_),
                     ag::Gather(node_emb_, neg_nodes_)};
   return batch;
-}
-
-Status Ngcf::SaveState(ckpt::Writer* writer) const {
-  if (node_emb_ == nullptr || price_emb_ == nullptr) {
-    return Status::FailedPrecondition("NGCF is not initialized");
-  }
-  ckpt::SaveMatrixSections({{"model/node_emb", &node_emb_->value},
-                            {"model/price_emb", &price_emb_->value},
-                            {"model/w1", &w1_->value},
-                            {"model/w2", &w2_->value}},
-                           writer);
-  writer->AddRng("model/dropout_rng", dropout_rng_.SaveState());
-  return Status::OK();
-}
-
-Status Ngcf::LoadState(const ckpt::Reader& reader) {
-  if (node_emb_ == nullptr || price_emb_ == nullptr) {
-    return Status::FailedPrecondition("NGCF is not initialized");
-  }
-  PUP_ASSIGN_OR_RETURN(RngState rng, reader.GetRng("model/dropout_rng"));
-  PUP_RETURN_NOT_OK(ckpt::LoadMatrixSections(
-      reader, {{"model/node_emb", &node_emb_->value},
-               {"model/price_emb", &price_emb_->value},
-               {"model/w1", &w1_->value},
-               {"model/w2", &w2_->value}}));
-  dropout_rng_.RestoreState(rng);
-  return Status::OK();
 }
 
 train::BprTrainable::BatchLossGraph Ngcf::ForwardBatchLoss(

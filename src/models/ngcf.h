@@ -17,7 +17,6 @@
 #include <memory>
 
 #include "autograd/tensor.h"
-#include "ckpt/checkpointable.h"
 #include "graph/hetero_graph.h"
 #include "models/recommender.h"
 #include "models/scoring.h"
@@ -37,9 +36,7 @@ struct NgcfConfig {
 };
 
 /// One-layer NGCF with price-augmented item input features.
-class Ngcf : public Recommender,
-             public train::BprTrainable,
-             public ckpt::Checkpointable {
+class Ngcf : public Recommender, public train::BprTrainable {
  public:
   explicit Ngcf(NgcfConfig config = {}) : config_(std::move(config)) {}
 
@@ -54,7 +51,8 @@ class Ngcf : public Recommender,
     return scorer_.initialized() ? &scorer_ : nullptr;
   }
 
-  std::vector<ag::Tensor> Parameters() override;
+  /// Id and price embeddings, W₁ and W₂, plus the dropout stream.
+  train::TrainableState State() override;
   BatchGraph ForwardBatch(const std::vector<uint32_t>& users,
                           const std::vector<uint32_t>& pos_items,
                           const std::vector<uint32_t>& neg_items,
@@ -64,11 +62,6 @@ class Ngcf : public Recommender,
                                   const std::vector<uint32_t>& pos_items,
                                   const std::vector<uint32_t>& neg_items,
                                   bool training) override;
-
-  // ckpt::Checkpointable (includes the dropout RNG stream):
-  std::string checkpoint_key() const override { return "ngcf"; }
-  Status SaveState(ckpt::Writer* writer) const override;
-  Status LoadState(const ckpt::Reader& reader) override;
 
  private:
   /// Final node representations [E⁰ ‖ e¹], (num_nodes, 2d).

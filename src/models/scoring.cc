@@ -1,7 +1,6 @@
 #include "models/scoring.h"
 
 #include "common/check.h"
-#include "la/io.h"
 
 namespace pup::models {
 
@@ -34,34 +33,6 @@ void DotScorer::ScoreItems(uint32_t user, std::vector<float>* out) const {
     for (size_t j = 0; j < d; ++j) acc += u[j] * v[j];
     (*out)[i] = acc;
   }
-}
-
-Status DotScorer::Save(const std::string& prefix) const {
-  if (!initialized()) {
-    return Status::FailedPrecondition("cannot save an empty DotScorer");
-  }
-  PUP_RETURN_NOT_OK(la::WriteMatrix(user_vecs_, prefix + ".users"));
-  PUP_RETURN_NOT_OK(la::WriteMatrix(item_vecs_, prefix + ".items"));
-  la::Matrix bias(item_bias_.empty() ? 0 : item_bias_.size(), 1);
-  for (size_t i = 0; i < item_bias_.size(); ++i) bias(i, 0) = item_bias_[i];
-  return la::WriteMatrix(bias, prefix + ".bias");
-}
-
-Result<DotScorer> DotScorer::Load(const std::string& prefix) {
-  PUP_ASSIGN_OR_RETURN(la::Matrix users, la::ReadMatrix(prefix + ".users"));
-  PUP_ASSIGN_OR_RETURN(la::Matrix items, la::ReadMatrix(prefix + ".items"));
-  PUP_ASSIGN_OR_RETURN(la::Matrix bias, la::ReadMatrix(prefix + ".bias"));
-  if (users.cols() != items.cols()) {
-    return Status::InvalidArgument("user/item dimension mismatch");
-  }
-  std::vector<float> item_bias;
-  if (bias.rows() > 0) {
-    if (bias.rows() != items.rows() || bias.cols() != 1) {
-      return Status::InvalidArgument("bias shape mismatch");
-    }
-    item_bias.assign(bias.data(), bias.data() + bias.rows());
-  }
-  return DotScorer(std::move(users), std::move(items), std::move(item_bias));
 }
 
 }  // namespace pup::models

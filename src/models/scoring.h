@@ -9,10 +9,8 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "la/matrix.h"
 
 namespace pup::models {
@@ -36,14 +34,6 @@ class DotScorer {
   const la::Matrix& item_vecs() const { return item_vecs_; }
   /// Empty when the model has no additive item term.
   const std::vector<float>& item_bias() const { return item_bias_; }
-
-  /// Persists the scorer as three matrix files under `prefix`
-  /// (prefix.users / prefix.items / prefix.bias) — a framework-free
-  /// deployment snapshot of any trained model's folded inference state.
-  Status Save(const std::string& prefix) const;
-
-  /// Loads a scorer previously written by Save.
-  static Result<DotScorer> Load(const std::string& prefix);
 
  private:
   la::Matrix user_vecs_;

@@ -12,7 +12,8 @@ namespace pup::serve {
 namespace {
 
 // Section names inside the index checkpoint. The "serve/" prefix keeps
-// them disjoint from the "model/" namespace Checkpointable reserves.
+// them disjoint from the "model/" namespace the trainer writes a model's
+// TrainableState into.
 constexpr char kSecFormat[] = "serve/format";
 constexpr char kSecModel[] = "serve/model";
 constexpr char kSecUsers[] = "serve/users";

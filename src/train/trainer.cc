@@ -1,16 +1,16 @@
 #include "train/trainer.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <optional>
 #include <utility>
 
 #include "autograd/arena.h"
 #include "autograd/ops.h"
 #include "ckpt/checkpoint.h"
-#include "ckpt/checkpointable.h"
+#include "ckpt/optimizer_state.h"
 #include "common/check.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -60,17 +60,19 @@ std::vector<std::string> ResumeCandidates(const std::string& resume_from) {
   return candidates;
 }
 
+// Checkpoint section of a TrainableState tensor named `name`.
+std::string ModelSection(const std::string& name) { return "model/" + name; }
+
 // Writes one training snapshot; `epochs` epochs are complete and `lr` is
 // the rate those epochs ended on.
 Status SaveTrainerCheckpoint(const ckpt::DatasetFingerprint& fingerprint,
-                             const std::string& model_key,
                              BprTrainable* model,
-                             const ckpt::Checkpointable* checkpointable,
                              const ag::Optimizer& optimizer,
                              const data::NegativeSampler& sampler, int epochs,
                              float lr, const std::string& path) {
+  const TrainableState state = model->State();
   ckpt::Writer writer(fingerprint);
-  writer.AddString("meta/model_key", model_key);
+  writer.AddString("meta/model_key", state.key);
   writer.AddU64("meta/epochs_completed", static_cast<uint64_t>(epochs));
   writer.AddF32("trainer/lr", lr);
   writer.AddRng("sampler/rng", sampler.rng_state());
@@ -82,22 +84,20 @@ Status SaveTrainerCheckpoint(const ckpt::DatasetFingerprint& fingerprint,
     writer.AddU64("sampler/tag", sampler.checkpoint_tag());
   }
   PUP_RETURN_NOT_OK(ckpt::SaveOptimizerState(optimizer, &writer));
-  if (checkpointable != nullptr) {
-    PUP_RETURN_NOT_OK(checkpointable->SaveState(&writer));
-  } else {
-    std::vector<ag::Tensor> params = model->Parameters();
-    writer.AddU64("param/count", params.size());
-    for (size_t i = 0; i < params.size(); ++i) {
-      writer.AddMatrix("param/" + std::to_string(i), params[i]->value);
-    }
+  for (const auto& [name, tensor] : state.tensors) {
+    writer.AddMatrix(ModelSection(name), tensor->value);
+  }
+  if (state.dropout_rng != nullptr) {
+    writer.AddRng("model/dropout_rng", state.dropout_rng->SaveState());
   }
   return writer.WriteFile(path);
 }
 
 // One minibatch: forward, L2 penalty, numeric sentinels, backward,
 // parameter update. Returns the batch loss.
-// PUP_HOT: with the arena on and capacities warmed this performs no heap
-// allocation in steady state; pup_lint enforces the contract.
+// PUP_HOT: inside the trainer's tape arena, with capacities warmed, this
+// performs no heap allocation in steady state; pup_lint enforces the
+// contract.
 float RunBatchStep(BprTrainable* model, const std::vector<uint32_t>& users,
                    const std::vector<uint32_t>& pos,
                    const std::vector<uint32_t>& neg,
@@ -133,20 +133,20 @@ float RunBatchStep(BprTrainable* model, const std::vector<uint32_t>& users,
 
 Result<ResumePoint> TryResumeCheckpoint(
     const std::string& path, const ckpt::DatasetFingerprint& fingerprint,
-    const std::string& model_key, BprTrainable* model,
-    ckpt::Checkpointable* checkpointable, ag::Optimizer* optimizer,
+    BprTrainable* model, ag::Optimizer* optimizer,
     data::NegativeSampler* sampler, int total_epochs) {
   PUP_OBS_COUNT("train/resume_attempts", 1);
   PUP_OBS_SCOPED_TIMER("train/resume");
   // Phase 1 — stage and validate. Everything below is pure reads into
   // locals; any failure returns before live state is touched.
+  const TrainableState state = model->State();
   PUP_ASSIGN_OR_RETURN(ckpt::Reader reader, ckpt::Reader::Open(path));
   PUP_RETURN_NOT_OK(reader.CheckFingerprint(fingerprint));
   PUP_ASSIGN_OR_RETURN(std::string stored_key,
                        reader.GetString("meta/model_key"));
-  if (stored_key != model_key) {
+  if (stored_key != state.key) {
     return Status::FailedPrecondition("checkpoint holds a '" + stored_key +
-                                      "' model, not '" + model_key + "'");
+                                      "' model, not '" + state.key + "'");
   }
   ResumePoint point;
   PUP_ASSIGN_OR_RETURN(uint64_t epochs,
@@ -177,41 +177,32 @@ Result<ResumePoint> TryResumeCheckpoint(
   PUP_ASSIGN_OR_RETURN(ag::OptimizerState optim_state,
                        ckpt::ReadOptimizerState(reader));
   PUP_RETURN_NOT_OK(optimizer->ValidateState(optim_state));
-  std::vector<la::Matrix> staged_params;
-  std::vector<ag::Tensor> params;
-  if (checkpointable == nullptr) {
-    params = model->Parameters();
-    PUP_ASSIGN_OR_RETURN(uint64_t count, reader.GetU64("param/count"));
-    if (count != params.size()) {
+  std::vector<la::Matrix> staged_tensors;
+  staged_tensors.reserve(state.tensors.size());
+  for (const auto& [name, tensor] : state.tensors) {
+    const std::string section = ModelSection(name);
+    PUP_ASSIGN_OR_RETURN(la::Matrix m, reader.GetMatrix(section));
+    if (!m.SameShape(tensor->value)) {
       return Status::FailedPrecondition(
-          "checkpoint has " + std::to_string(count) + " parameters, model " +
-          std::to_string(params.size()));
+          "section '" + section + "' is " + std::to_string(m.rows()) + "x" +
+          std::to_string(m.cols()) + ", model expects " +
+          std::to_string(tensor->value.rows()) + "x" +
+          std::to_string(tensor->value.cols()));
     }
-    staged_params.reserve(params.size());
-    for (size_t i = 0; i < params.size(); ++i) {
-      PUP_ASSIGN_OR_RETURN(la::Matrix m,
-                           reader.GetMatrix("param/" + std::to_string(i)));
-      if (!m.SameShape(params[i]->value)) {
-        return Status::FailedPrecondition(
-            "parameter " + std::to_string(i) + " is " +
-            std::to_string(m.rows()) + "x" + std::to_string(m.cols()) +
-            ", model expects " + std::to_string(params[i]->value.rows()) +
-            "x" + std::to_string(params[i]->value.cols()));
-      }
-      staged_params.push_back(std::move(m));
-    }
+    staged_tensors.push_back(std::move(m));
+  }
+  RngState dropout_rng;
+  if (state.dropout_rng != nullptr) {
+    PUP_ASSIGN_OR_RETURN(dropout_rng, reader.GetRng("model/dropout_rng"));
   }
 
-  // Phase 2 — commit. From here on nothing can fail: the generic
-  // parameters and optimizer state were staged above, and a
-  // Checkpointable's LoadState is itself transactional (validates every
-  // section before mutating; see ckpt::Checkpointable).
-  if (checkpointable != nullptr) {
-    PUP_RETURN_NOT_OK(checkpointable->LoadState(reader));
-  } else {
-    for (size_t i = 0; i < params.size(); ++i) {
-      params[i]->value = std::move(staged_params[i]);
-    }
+  // Phase 2 — commit. Everything was staged and validated above, so from
+  // here on nothing can fail.
+  for (size_t i = 0; i < staged_tensors.size(); ++i) {
+    state.tensors[i].second->value = std::move(staged_tensors[i]);
+  }
+  if (state.dropout_rng != nullptr) {
+    state.dropout_rng->RestoreState(dropout_rng);
   }
   Status optim_commit = optimizer->ImportState(optim_state);
   PUP_CHECK_MSG(optim_commit.ok(),
@@ -234,12 +225,27 @@ Status ApplyNegSamplingFlags(const Flags& flags, TrainOptions* options) {
   return Status::OK();
 }
 
-CheckpointOptions CheckpointOptionsFromFlags(const Flags& flags) {
+Result<CheckpointOptions> CheckpointOptionsFromFlags(const Flags& flags) {
   CheckpointOptions options;
   options.directory = flags.GetString("ckpt-dir", "");
-  options.save_every = static_cast<int>(flags.GetInt("save-every", 0));
   options.resume_from = flags.GetString("resume", "");
+  const std::string save_every = flags.GetString("save-every", "0");
+  const char* end = save_every.data() + save_every.size();
+  auto [ptr, ec] = std::from_chars(save_every.data(), end, options.save_every);
+  if (ec != std::errc() || ptr != end || options.save_every < 0) {
+    return Status::InvalidArgument(
+        "--save-every is not a non-negative integer: '" + save_every + "'");
+  }
+  if (options.save_every > 0 && options.directory.empty()) {
+    return Status::InvalidArgument("--save-every needs --ckpt-dir");
+  }
   return options;
+}
+
+std::vector<ag::Tensor> BprTrainable::Parameters() {
+  std::vector<ag::Tensor> params;
+  for (auto& [name, tensor] : State().tensors) params.push_back(tensor);
+  return params;
 }
 
 BprTrainable::BatchLossGraph BprTrainable::ForwardBatchLoss(
@@ -284,14 +290,8 @@ std::vector<EpochStats> TrainBpr(BprTrainable* model,
   history.reserve(options.epochs);
   float lr = options.learning_rate;
 
-  // Checkpointing: models that implement ckpt::Checkpointable snapshot
-  // their full state (including auxiliary RNG streams); others fall back
-  // to generic parameter sections.
   const CheckpointOptions& ck = options.checkpoint;
   const bool saving = !ck.directory.empty() && ck.save_every > 0;
-  auto* checkpointable = dynamic_cast<ckpt::Checkpointable*>(model);
-  const std::string model_key =
-      checkpointable != nullptr ? checkpointable->checkpoint_key() : "generic";
   ckpt::DatasetFingerprint fingerprint;
   if (saving || !ck.resume_from.empty()) {
     fingerprint = ckpt::DatasetFingerprint::Of(dataset);
@@ -300,9 +300,9 @@ std::vector<EpochStats> TrainBpr(BprTrainable* model,
   int start_epoch = 0;
   if (!ck.resume_from.empty()) {
     for (const std::string& candidate : ResumeCandidates(ck.resume_from)) {
-      Result<ResumePoint> point = TryResumeCheckpoint(
-          candidate, fingerprint, model_key, model, checkpointable,
-          &optimizer, sampler.get(), options.epochs);
+      Result<ResumePoint> point =
+          TryResumeCheckpoint(candidate, fingerprint, model, &optimizer,
+                              sampler.get(), options.epochs);
       if (!point.ok()) {
         PUP_OBS_COUNT("train/resume_rejected", 1);
         PUP_LOG_WARNING << "skipping checkpoint " << candidate << ": "
@@ -369,18 +369,17 @@ std::vector<EpochStats> TrainBpr(BprTrainable* model,
       {
         // All tape nodes and backward scratch built inside this scope draw
         // from the arena; the handles must die before arena.Reset().
-        std::optional<ag::TapeArena::Scope> scope;
-        if (options.reuse_tape) scope.emplace(&arena);
+        ag::TapeArena::Scope scope(&arena);
         loss_sum +=
             RunBatchStep(model, users, pos, neg, options, &optimizer, &guard);
         ++num_batches;
       }
-      if (options.reuse_tape) arena.Reset();
+      arena.Reset();
     }
 
     // Epoch boundary: drop pooled backward scratch so an idle model does
     // not pin peak workspace memory. Node blocks stay for the next epoch.
-    if (options.reuse_tape) arena.Trim();
+    arena.Trim();
 
     PUP_OBS_COUNT("train/batches", num_batches);
     PUP_OBS_COUNT("train/epochs", 1);
@@ -403,10 +402,10 @@ std::vector<EpochStats> TrainBpr(BprTrainable* model,
       const std::string path =
           (fs::path(ck.directory) / CheckpointFileName(epoch + 1)).string();
       PUP_OBS_SCOPED_TIMER("train/checkpoint_save");
-      Status st =
-          SaveTrainerCheckpoint(fingerprint, model_key, model, checkpointable,
-                                optimizer, *sampler, epoch + 1, lr, path);
+      Status st = SaveTrainerCheckpoint(fingerprint, model, optimizer,
+                                        *sampler, epoch + 1, lr, path);
       if (!st.ok()) {
+        PUP_OBS_COUNT("train/checkpoint_save_failed", 1);
         PUP_LOG_WARNING << "checkpoint save failed (" << path
                         << "): " << st.message();
       } else if (options.verbose) {

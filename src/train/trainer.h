@@ -8,14 +8,15 @@
 
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "autograd/numeric_guard.h"
 #include "autograd/optimizer.h"
 #include "autograd/tensor.h"
 #include "ckpt/checkpoint.h"
-#include "ckpt/checkpointable.h"
 #include "common/flags.h"
+#include "common/rng.h"
 #include "common/status.h"
 #include "data/dataset.h"
 #include "data/sampler.h"
@@ -24,9 +25,9 @@ namespace pup::train {
 
 /// Crash-safe checkpointing of a training run (see docs/checkpointing.md).
 ///
-/// Snapshots capture the model's trainable state (via ckpt::Checkpointable
-/// when the model implements it, generic parameter sections otherwise),
-/// the optimizer moments, the sampler RNG, and the epoch cursor — enough
+/// Snapshots capture the model's TrainableState (its tensors and dropout
+/// stream), the optimizer moments, the sampler RNG, and the epoch cursor —
+/// enough
 /// that `train K epochs → kill → resume → N-K epochs` replays the exact
 /// losses and metrics of an uninterrupted N-epoch run, at any --threads.
 struct CheckpointOptions {
@@ -44,8 +45,10 @@ struct CheckpointOptions {
 };
 
 /// Reads the standard checkpoint flags — --ckpt-dir DIR, --save-every N,
-/// --resume PATH — shared by pup_cli and every example.
-CheckpointOptions CheckpointOptionsFromFlags(const Flags& flags);
+/// --resume PATH — shared by pup_cli and every example. InvalidArgument
+/// when --save-every is not a non-negative integer, or is positive
+/// without --ckpt-dir (either would silently disable snapshots).
+Result<CheckpointOptions> CheckpointOptionsFromFlags(const Flags& flags);
 
 /// Hyper-parameters of a training run (§V-A3 defaults, scaled down).
 struct TrainOptions {
@@ -69,11 +72,6 @@ struct TrainOptions {
   /// Learning rate is divided by 10 when these fractions of the epochs
   /// complete (paper: "reduce the learning rate by a factor of 10 twice").
   std::vector<double> lr_decay_at = {0.5, 0.75};
-  /// Recycle tape nodes and backward scratch across steps through a
-  /// TapeArena (autograd/arena.h). Bitwise-identical trajectories either
-  /// way; off only costs per-step allocations (useful for A/B measurement
-  /// and as a fallback).
-  bool reuse_tape = true;
   bool verbose = false;
   /// Crash-safe snapshot/resume of this run; disabled by default.
   CheckpointOptions checkpoint;
@@ -92,14 +90,31 @@ void ApplyCheckNumericsFlag(const Flags& flags, TrainOptions* options);
 /// `options`; InvalidArgument on an unknown strategy name.
 Status ApplyNegSamplingFlags(const Flags& flags, TrainOptions* options);
 
-/// A model trainable with BPR: builds the differentiable score graph for
-/// one (users, positives, negatives) batch.
+/// Everything training mutates in a model, named once. The trainer builds
+/// its optimizer from `tensors` and snapshots the lot: each tensor as
+/// section "model/<name>", then the dropout stream as "model/dropout_rng".
+struct TrainableState {
+  /// Stable identifier of the model family ("pup", "bpr-mf", …). Stored
+  /// in every snapshot; a resume into another family is refused.
+  std::string key;
+  /// Trainable tensors in optimizer order, each with its section name.
+  std::vector<std::pair<std::string, ag::Tensor>> tensors;
+  /// Training-time RNG stream (dropout); null when the model has none.
+  Rng* dropout_rng = nullptr;
+};
+
+/// A model trainable with BPR: names its trainable state and builds the
+/// differentiable score graph for one (users, positives, negatives) batch.
 class BprTrainable {
  public:
   virtual ~BprTrainable() = default;
 
-  /// All trainable parameters (for the optimizer).
-  virtual std::vector<ag::Tensor> Parameters() = 0;
+  /// The model's trainable state — the one place it lists its tensors.
+  /// The tensors are null until the model's Fit creates them.
+  virtual TrainableState State() = 0;
+
+  /// The tensors of State(), in order (for the optimizer).
+  std::vector<ag::Tensor> Parameters();
 
   /// Differentiable outputs for one batch.
   struct BatchGraph {
@@ -152,20 +167,17 @@ struct ResumePoint {
 /// Applies one checkpoint file to (model, optimizer, sampler) —
 /// all-or-nothing. Every section is read and validated into staged
 /// locals first (header, fingerprint, model key, epoch cursor, lr,
-/// sampler RNG, optimizer state via Optimizer::ValidateState, model
-/// sections via the models' transactional LoadState / staged generic
-/// parameters); live state is mutated only after the entire file has
-/// been accepted, so a rejected checkpoint — truncated, bit-flipped, or
-/// from a different architecture — leaves model, optimizer, and sampler
+/// sampler RNG, optimizer state via Optimizer::ValidateState, and each
+/// of the model's State() sections, shape-checked against its live
+/// tensor); live state is mutated only after the entire file has been
+/// accepted, so a rejected checkpoint — truncated, bit-flipped, or from
+/// a different architecture — leaves model, optimizer, and sampler
 /// bitwise-untouched and the caller free to try the next candidate.
-/// `model` must expose the same parameter list the checkpoint was saved
-/// from; pass `checkpointable` when the model implements it (the trainer
-/// detects this via dynamic_cast). TrainBpr calls this for every resume
-/// candidate; it is public so tests can prove the no-mutation contract.
+/// TrainBpr calls this for every resume candidate; it is public so tests
+/// can prove the no-mutation contract.
 Result<ResumePoint> TryResumeCheckpoint(
     const std::string& path, const ckpt::DatasetFingerprint& fingerprint,
-    const std::string& model_key, BprTrainable* model,
-    ckpt::Checkpointable* checkpointable, ag::Optimizer* optimizer,
+    BprTrainable* model, ag::Optimizer* optimizer,
     data::NegativeSampler* sampler, int total_epochs);
 
 /// Runs the full BPR training loop on `train` interactions.

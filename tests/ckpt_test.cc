@@ -13,7 +13,7 @@
 #include "autograd/ops.h"
 #include "autograd/optimizer.h"
 #include "ckpt/checkpoint.h"
-#include "ckpt/checkpointable.h"
+#include "ckpt/optimizer_state.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
@@ -26,6 +26,7 @@
 #include "models/fm.h"
 #include "models/gc_mc.h"
 #include "models/ngcf.h"
+#include "tiny_mf.h"
 #include "train/trainer.h"
 
 namespace pup {
@@ -451,33 +452,6 @@ TEST(CkptFormatTest, ProductionModelSnapshotsAreByteStable) {
 // Resume parity: K epochs + resume == N epochs straight, bit for bit.
 // ---------------------------------------------------------------------------
 
-// Plain MF without Checkpointable — exercises the trainer's generic
-// "param/<i>" fallback path.
-class TinyMf : public train::BprTrainable {
- public:
-  TinyMf(size_t num_users, size_t num_items, size_t dim, uint64_t seed) {
-    Rng rng(seed);
-    users_ = ag::Param(la::Matrix::Gaussian(num_users, dim, 0.1f, &rng));
-    items_ = ag::Param(la::Matrix::Gaussian(num_items, dim, 0.1f, &rng));
-  }
-
-  std::vector<ag::Tensor> Parameters() override { return {users_, items_}; }
-
-  BatchGraph ForwardBatch(const std::vector<uint32_t>& users,
-                          const std::vector<uint32_t>& pos,
-                          const std::vector<uint32_t>& neg,
-                          bool /*training*/) override {
-    ag::Tensor u = ag::Gather(users_, users);
-    BatchGraph b;
-    b.pos_scores = ag::RowDot(u, ag::Gather(items_, pos));
-    b.neg_scores = ag::RowDot(u, ag::Gather(items_, neg));
-    b.l2_terms = {u};
-    return b;
-  }
-
-  ag::Tensor users_, items_;
-};
-
 void ExpectParamsBitwiseEqual(std::vector<ag::Tensor> a,
                               std::vector<ag::Tensor> b) {
   ASSERT_EQ(a.size(), b.size());
@@ -639,16 +613,18 @@ TEST(CkptResumeTest, MismatchedDatasetStartsFresh) {
 }
 
 // Rewrites the checkpoint at `path` so every CRC still validates but the
-// optimizer state is semantically broken: "optim/slot/0" is replaced by a
-// 1x1 matrix no model shape can match. Reader::Open accepts the file;
-// only Optimizer::ValidateState can reject it — exactly the torn-restore
-// scenario where the model sections are fine and the tail is not.
-void BreakOptimizerSlotKeepingCrcsValid(const std::string& path) {
+// matrix section `section` is semantically broken: it is replaced by a
+// 1x1 matrix no tensor shape can match. Reader::Open accepts the file;
+// only the resume's staged shape checks can reject it. With
+// "optim/slot/0" this is the torn-restore scenario where the model
+// sections are fine and the tail is not.
+void BreakSectionKeepingCrcsValid(const std::string& path,
+                                  const std::string& section) {
   auto reader = ckpt::Reader::Open(path);
   ASSERT_TRUE(reader.ok()) << reader.status().message();
   ckpt::Writer writer(reader->fingerprint());
   for (const std::string& name : reader->SectionNames()) {
-    if (name == "optim/slot/0") {
+    if (name == section) {
       writer.AddMatrix(name, la::Matrix(1, 1));
     } else {
       auto payload = reader->GetString(name);
@@ -677,7 +653,7 @@ TEST(CkptResumeTest, TornOptimizerSectionLeavesModelUntouched) {
   train::TrainBpr(&trained, ds, ds.interactions, options);
   const std::string path = dir + "/ckpt-000004.pupc";
   ASSERT_TRUE(fs::exists(path));
-  BreakOptimizerSlotKeepingCrcsValid(path);
+  BreakSectionKeepingCrcsValid(path, "optim/slot/0");
 
   // Two bitwise-identical fresh models: `victim` attempts the resume,
   // `reference` never sees the checkpoint.
@@ -689,13 +665,50 @@ TEST(CkptResumeTest, TornOptimizerSectionLeavesModelUntouched) {
   const RngState sampler_rng_before = sampler.rng_state();
 
   auto point = train::TryResumeCheckpoint(
-      path, ckpt::DatasetFingerprint::Of(ds), "generic", &victim,
-      /*checkpointable=*/nullptr, &optimizer, &sampler, options.epochs);
+      path, ckpt::DatasetFingerprint::Of(ds), &victim, &optimizer, &sampler,
+      options.epochs);
   ASSERT_FALSE(point.ok());
 
   // The rejected file must not have mutated anything: parameters are
   // bitwise the fresh initialization, and the sampler stream is intact.
   ExpectParamsBitwiseEqual(victim.Parameters(), reference.Parameters());
+  EXPECT_TRUE(sampler.rng_state() == sampler_rng_before);
+}
+
+// The model side of the same contract: the last model section has the
+// wrong shape, so the tensors staged before it, the optimizer state and
+// the sampler stream must all stay as they were.
+TEST(CkptResumeTest, TornModelSectionLeavesEverythingUntouched) {
+  data::Dataset ds = SmallDataset();
+  ThreadPool::SetGlobalThreads(1);
+  std::string dir = FreshDir("torn_model");
+
+  TinyMf trained(ds.num_users, ds.num_items, 16, 5);
+  train::TrainOptions options = ResumeTestOptions();
+  options.epochs = 4;
+  options.checkpoint.directory = dir;
+  options.checkpoint.save_every = 4;
+  train::TrainBpr(&trained, ds, ds.interactions, options);
+  const std::string path = dir + "/ckpt-000004.pupc";
+  BreakSectionKeepingCrcsValid(path, "model/items");
+
+  TinyMf victim(ds.num_users, ds.num_items, 16, 5);
+  TinyMf reference(ds.num_users, ds.num_items, 16, 5);
+  ag::Adam optimizer(victim.Parameters(), {.learning_rate = 1e-2f});
+  data::NegativeSampler sampler(ds.num_users, ds.num_items, ds.interactions,
+                                options.seed);
+  const RngState sampler_rng_before = sampler.rng_state();
+
+  auto point = train::TryResumeCheckpoint(
+      path, ckpt::DatasetFingerprint::Of(ds), &victim, &optimizer, &sampler,
+      options.epochs);
+  ASSERT_FALSE(point.ok());
+  EXPECT_NE(point.status().message().find("model/items"), std::string::npos)
+      << point.status().message();
+
+  ExpectParamsBitwiseEqual(victim.Parameters(), reference.Parameters());
+  EXPECT_EQ(optimizer.ExportState().step, 0);
+  EXPECT_EQ(optimizer.ExportState().learning_rate, 1e-2f);
   EXPECT_TRUE(sampler.rng_state() == sampler_rng_before);
 }
 
@@ -715,7 +728,7 @@ TEST(CkptResumeTest, TornNewestFallsBackToSiblingBitwise) {
   auto h_full = train::TrainBpr(&full, ds, ds.interactions, options);
 
   fs::remove(dir + "/ckpt-000010.pupc");
-  BreakOptimizerSlotKeepingCrcsValid(dir + "/ckpt-000008.pupc");
+  BreakSectionKeepingCrcsValid(dir + "/ckpt-000008.pupc", "optim/slot/0");
 
   TinyMf resumed(ds.num_users, ds.num_items, 16, 5);
   train::TrainOptions resume = ResumeTestOptions();

@@ -13,7 +13,6 @@
 #include "eval/value_aware.h"
 #include "graph/attribute_graph.h"
 #include "la/io.h"
-#include "models/scoring.h"
 
 namespace pup {
 namespace {
@@ -299,57 +298,6 @@ TEST(MatrixIoTest, TruncatedFileIsIOError) {
   auto result = la::ReadMatrix(path);
   EXPECT_EQ(result.status().code(), StatusCode::kIOError);
   std::remove(path.c_str());
-}
-
-// --------------------------- DotScorer IO ------------------------------
-
-TEST(DotScorerIoTest, SaveLoadRoundTrip) {
-  Rng rng(9);
-  la::Matrix users = la::Matrix::Gaussian(5, 3, 1.0f, &rng);
-  la::Matrix items = la::Matrix::Gaussian(7, 3, 1.0f, &rng);
-  std::vector<float> bias = {1, 2, 3, 4, 5, 6, 7};
-  models::DotScorer original(users, items, bias);
-  std::string prefix = testing::TempDir() + "/pup_scorer";
-  ASSERT_TRUE(original.Save(prefix).ok());
-  auto loaded = models::DotScorer::Load(prefix);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  std::vector<float> a, b;
-  for (uint32_t u = 0; u < 5; ++u) {
-    original.ScoreItems(u, &a);
-    loaded->ScoreItems(u, &b);
-    EXPECT_EQ(a, b) << "user " << u;
-  }
-  for (const char* suffix : {".users", ".items", ".bias"}) {
-    std::remove((prefix + suffix).c_str());
-  }
-}
-
-TEST(DotScorerIoTest, SaveLoadWithoutBias) {
-  Rng rng(10);
-  models::DotScorer original(la::Matrix::Gaussian(2, 4, 1.0f, &rng),
-                             la::Matrix::Gaussian(3, 4, 1.0f, &rng));
-  std::string prefix = testing::TempDir() + "/pup_scorer_nb";
-  ASSERT_TRUE(original.Save(prefix).ok());
-  auto loaded = models::DotScorer::Load(prefix);
-  ASSERT_TRUE(loaded.ok());
-  std::vector<float> a, b;
-  original.ScoreItems(1, &a);
-  loaded->ScoreItems(1, &b);
-  EXPECT_EQ(a, b);
-  for (const char* suffix : {".users", ".items", ".bias"}) {
-    std::remove((prefix + suffix).c_str());
-  }
-}
-
-TEST(DotScorerIoTest, SaveEmptyFails) {
-  models::DotScorer empty;
-  EXPECT_EQ(empty.Save("/tmp/pup_never").code(),
-            StatusCode::kFailedPrecondition);
-}
-
-TEST(DotScorerIoTest, LoadMissingFails) {
-  auto result = models::DotScorer::Load("/nonexistent/prefix");
-  EXPECT_FALSE(result.ok());
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "data/synthetic.h"
 #include "graph/hetero_graph.h"
 #include "graph/neighbor_sampling.h"
+#include "tiny_mf.h"
 #include "train/trainer.h"
 
 namespace pup {
@@ -356,31 +357,6 @@ TEST(WeightedSamplerTest, CheckpointTagsDistinguishStrategies) {
 
 // -------------------- Weighted training determinism ---------------------
 
-// Minimal trainable: plain MF, enough to exercise the loop.
-class TinyMf : public train::BprTrainable {
- public:
-  TinyMf(size_t num_users, size_t num_items, size_t dim, uint64_t seed) {
-    Rng rng(seed);
-    users_ = ag::Param(la::Matrix::Gaussian(num_users, dim, 0.1f, &rng));
-    items_ = ag::Param(la::Matrix::Gaussian(num_items, dim, 0.1f, &rng));
-  }
-
-  std::vector<ag::Tensor> Parameters() override { return {users_, items_}; }
-
-  BatchGraph ForwardBatch(const std::vector<uint32_t>& users,
-                          const std::vector<uint32_t>& pos,
-                          const std::vector<uint32_t>& neg,
-                          bool /*training*/) override {
-    ag::Tensor u = ag::Gather(users_, users);
-    BatchGraph b;
-    b.pos_scores = ag::RowDot(u, ag::Gather(items_, pos));
-    b.neg_scores = ag::RowDot(u, ag::Gather(items_, neg));
-    b.l2_terms = {u};
-    return b;
-  }
-
-  ag::Tensor users_, items_;
-};
 
 train::TrainOptions WeightedOptions() {
   train::TrainOptions options;

@@ -34,6 +34,7 @@
 #include "la/matrix.h"
 #include "la/simd/backend.h"
 #include "obs/registry.h"
+#include "tiny_mf.h"
 #include "train/trainer.h"
 
 namespace pup {
@@ -517,31 +518,6 @@ TEST_F(SimdNumericScanTest, PaddedTailGarbageIsIgnored) {
 
 // -------------------- End-to-end training parity -----------------------
 
-// Minimal trainable, mirroring train_test's TinyMf: plain MF.
-class TinyMf : public train::BprTrainable {
- public:
-  TinyMf(size_t num_users, size_t num_items, size_t dim, uint64_t seed) {
-    Rng rng(seed);
-    users_ = ag::Param(Matrix::Gaussian(num_users, dim, 0.1f, &rng));
-    items_ = ag::Param(Matrix::Gaussian(num_items, dim, 0.1f, &rng));
-  }
-
-  std::vector<ag::Tensor> Parameters() override { return {users_, items_}; }
-
-  BatchGraph ForwardBatch(const std::vector<uint32_t>& users,
-                          const std::vector<uint32_t>& pos,
-                          const std::vector<uint32_t>& neg,
-                          bool /*training*/) override {
-    ag::Tensor u = ag::Gather(users_, users);
-    BatchGraph b;
-    b.pos_scores = ag::RowDot(u, ag::Gather(items_, pos));
-    b.neg_scores = ag::RowDot(u, ag::Gather(items_, neg));
-    b.l2_terms = {u};
-    return b;
-  }
-
-  ag::Tensor users_, items_;
-};
 
 // For every fixed backend (the auto choice and the off golden path), a
 // 3-epoch training run is bitwise-identical at --threads=1 and

@@ -19,6 +19,7 @@
 #include "data/synthetic.h"
 #include "eval/metrics.h"
 #include "la/kernels.h"
+#include "tiny_mf.h"
 #include "train/trainer.h"
 
 namespace pup {
@@ -315,31 +316,6 @@ TEST_F(ThreadedTrainingTest, EvalMetricsStableAcrossThreadCounts) {
   EXPECT_EQ(t2.At(20).ndcg, t4.At(20).ndcg);
 }
 
-// Minimal trainable, mirroring train_test's TinyMf: plain MF.
-class TinyMf : public train::BprTrainable {
- public:
-  TinyMf(size_t num_users, size_t num_items, size_t dim, uint64_t seed) {
-    Rng rng(seed);
-    users_ = ag::Param(la::Matrix::Gaussian(num_users, dim, 0.1f, &rng));
-    items_ = ag::Param(la::Matrix::Gaussian(num_items, dim, 0.1f, &rng));
-  }
-
-  std::vector<ag::Tensor> Parameters() override { return {users_, items_}; }
-
-  BatchGraph ForwardBatch(const std::vector<uint32_t>& users,
-                          const std::vector<uint32_t>& pos,
-                          const std::vector<uint32_t>& neg,
-                          bool /*training*/) override {
-    ag::Tensor u = ag::Gather(users_, users);
-    BatchGraph b;
-    b.pos_scores = ag::RowDot(u, ag::Gather(items_, pos));
-    b.neg_scores = ag::RowDot(u, ag::Gather(items_, neg));
-    b.l2_terms = {u};
-    return b;
-  }
-
-  ag::Tensor users_, items_;
-};
 
 // End-to-end: the same small training run from train_test, re-run with a
 // 4-thread pool, must track the serial loss trajectory.

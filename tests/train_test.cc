@@ -1,41 +1,23 @@
 // Tests for the BPR training loop.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <string>
+#include <vector>
+
 #include "autograd/ops.h"
 #include "common/rng.h"
 #include "data/synthetic.h"
 #include "la/kernels.h"
+#include "obs/registry.h"
+#include "tiny_mf.h"
 #include "train/early_stopping.h"
 #include "train/trainer.h"
 
 namespace pup::train {
 namespace {
 
-// Minimal trainable: plain MF, enough to exercise the loop.
-class TinyMf : public BprTrainable {
- public:
-  TinyMf(size_t num_users, size_t num_items, size_t dim, uint64_t seed) {
-    Rng rng(seed);
-    users_ = ag::Param(la::Matrix::Gaussian(num_users, dim, 0.1f, &rng));
-    items_ = ag::Param(la::Matrix::Gaussian(num_items, dim, 0.1f, &rng));
-  }
-
-  std::vector<ag::Tensor> Parameters() override { return {users_, items_}; }
-
-  BatchGraph ForwardBatch(const std::vector<uint32_t>& users,
-                          const std::vector<uint32_t>& pos,
-                          const std::vector<uint32_t>& neg,
-                          bool /*training*/) override {
-    ag::Tensor u = ag::Gather(users_, users);
-    BatchGraph b;
-    b.pos_scores = ag::RowDot(u, ag::Gather(items_, pos));
-    b.neg_scores = ag::RowDot(u, ag::Gather(items_, neg));
-    b.l2_terms = {u};
-    return b;
-  }
-
-  ag::Tensor users_, items_;
-};
 
 data::Dataset SmallDataset() {
   data::SyntheticConfig config = data::SyntheticConfig::YelpLike().Scaled(0.04);
@@ -237,6 +219,75 @@ TEST(EarlyStopperTest, RestoreBestNoOpWithoutEvaluations) {
   for (size_t i = 0; i < before.size(); ++i) {
     EXPECT_EQ(before.FlatAt(i), model.users_->value.FlatAt(i));
   }
+}
+
+// --------------------------- Checkpointing ----------------------------
+
+Result<CheckpointOptions> CheckpointFlags(std::vector<const char*> argv) {
+  argv.insert(argv.begin(), "prog");
+  return CheckpointOptionsFromFlags(
+      Flags::Parse(static_cast<int>(argv.size()), argv.data()));
+}
+
+// A malformed --save-every must fail loudly: read leniently, "abc" would
+// become 0 and "-2" stay negative, and either silently disables snapshots.
+TEST(CheckpointFlagsTest, RejectsSaveEveryThatIsNotANonNegativeInteger) {
+  for (const char* value : {"abc", "-2", "3x", "99999999999"}) {
+    const std::string flag = std::string("--save-every=") + value;
+    Result<CheckpointOptions> options =
+        CheckpointFlags({"--ckpt-dir", "/tmp/run", flag.c_str()});
+    ASSERT_FALSE(options.ok()) << value;
+    EXPECT_EQ(options.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(options.status().message().find(value), std::string::npos)
+        << options.status().message();
+  }
+}
+
+TEST(CheckpointFlagsTest, RejectsSaveEveryWithoutCheckpointDirectory) {
+  Result<CheckpointOptions> options = CheckpointFlags({"--save-every", "2"});
+  ASSERT_FALSE(options.ok());
+  EXPECT_EQ(options.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(options.status().message().find("--ckpt-dir"), std::string::npos);
+}
+
+TEST(CheckpointFlagsTest, AcceptsAValidSet) {
+  Result<CheckpointOptions> options = CheckpointFlags(
+      {"--ckpt-dir", "/tmp/run", "--save-every", "4", "--resume", "/tmp/old"});
+  ASSERT_TRUE(options.ok()) << options.status().ToString();
+  EXPECT_EQ(options->directory, "/tmp/run");
+  EXPECT_EQ(options->save_every, 4);
+  EXPECT_EQ(options->resume_from, "/tmp/old");
+
+  // No flags at all: snapshots off, nothing to resume.
+  Result<CheckpointOptions> none = CheckpointFlags({});
+  ASSERT_TRUE(none.ok());
+  EXPECT_EQ(none->save_every, 0);
+  EXPECT_TRUE(none->directory.empty());
+}
+
+// A checkpoint directory that cannot be written (here: it is a regular
+// file) fails every save; each failure is counted, and training runs to
+// the end regardless.
+TEST(TrainerTest, FailedCheckpointSavesAreCountedAndTrainingContinues) {
+  data::Dataset ds = SmallDataset();
+  const std::string not_a_dir = testing::TempDir() + "/pup_ckpt_not_a_dir";
+  std::filesystem::remove_all(not_a_dir);
+  std::ofstream(not_a_dir) << "a regular file";
+  const obs::Counter* failed =
+      obs::Registry::Global().GetCounter("train/checkpoint_save_failed");
+  const uint64_t failed_before = failed->Get();
+
+  TinyMf model(ds.num_users, ds.num_items, 8, 15);
+  TrainOptions options;
+  options.epochs = 5;
+  options.checkpoint.directory = not_a_dir;
+  options.checkpoint.save_every = 2;
+  auto history = TrainBpr(&model, ds, ds.interactions, options);
+
+  EXPECT_EQ(history.size(), 5u);
+  // Saves are attempted after epochs 2, 4 and the final epoch 5.
+  EXPECT_EQ(failed->Get() - failed_before, 3u);
+  std::filesystem::remove(not_a_dir);
 }
 
 }  // namespace

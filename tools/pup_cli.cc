@@ -148,20 +148,24 @@ int RunGenerate(const Flags& flags) {
   return 0;
 }
 
+// The model `name` configured from `flags`; null (with the reason on
+// stderr) for an unknown name or an invalid flag.
 std::unique_ptr<models::Recommender> MakeModel(const std::string& name,
                                                const Flags& flags) {
   train::TrainOptions t;
   t.epochs = static_cast<int>(flags.GetInt("epochs", 40));
   t.l2_reg = static_cast<float>(flags.GetDouble("l2", t.l2_reg));
   t.seed = static_cast<uint64_t>(flags.GetInt("seed", t.seed));
-  t.checkpoint = train::CheckpointOptionsFromFlags(flags);
+  Result<train::CheckpointOptions> checkpoint =
+      train::CheckpointOptionsFromFlags(flags);
+  if (!checkpoint.ok()) {
+    std::fprintf(stderr, "%s\n", checkpoint.status().ToString().c_str());
+    return nullptr;
+  }
+  t.checkpoint = *checkpoint;
   train::ApplyCheckNumericsFlag(flags, &t);
   if (Status st = train::ApplyNegSamplingFlags(flags, &t); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return nullptr;
-  }
-  if (t.checkpoint.save_every > 0 && t.checkpoint.directory.empty()) {
-    std::fprintf(stderr, "--save-every needs --ckpt-dir\n");
     return nullptr;
   }
   size_t dim = static_cast<size_t>(flags.GetInt("dim", 64));
@@ -220,6 +224,7 @@ std::unique_ptr<models::Recommender> MakeModel(const std::string& name,
     c.train = t;
     return std::make_unique<core::Pup>(c);
   }
+  std::fprintf(stderr, "unknown model '%s'\n", name.c_str());
   return nullptr;
 }
 
@@ -262,10 +267,7 @@ int RunTrain(const Flags& flags) {
   data::DataSplit split = data::TemporalSplit(ds);
   std::string model_name = flags.GetString("model", "pup");
   auto model = MakeModel(model_name, flags);
-  if (!model) {
-    std::fprintf(stderr, "unknown model '%s'\n", model_name.c_str());
-    return 2;
-  }
+  if (!model) return 2;
 
   // Query the remaining train flags before the unknown-flag gate so a
   // typo'd flag is the only thing left unqueried.
