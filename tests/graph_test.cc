@@ -1,7 +1,13 @@
 // Tests for the heterogeneous and bipartite graph construction (§III-A,
-// eq. 5).
+// eq. 5) and the byte-level pin of every adjacency layout.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
+#include "common/rng.h"
+#include "core/pup_model.h"
+#include "graph/attribute_graph.h"
 #include "graph/hetero_graph.h"
 
 namespace pup::graph {
@@ -150,6 +156,125 @@ TEST(BipartiteGraphTest, NoSelfLoopOption) {
   BipartiteGraph g(1, 1, {{0, 0}}, /*add_self_loops=*/false);
   EXPECT_EQ(g.adjacency().At(0, 0), 0.0f);
   EXPECT_EQ(g.adjacency().At(0, 1), 1.0f);
+}
+
+// ------------------------- Adjacency format pin -------------------------
+
+// FNV-1a 64 over the bytes of `v`, continuing from `h`.
+template <typename T>
+uint64_t Fnv1a64(const std::vector<T>& v, uint64_t h) {
+  for (const T& x : v) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &x, sizeof(T));
+    for (unsigned char b : bytes) {
+      h ^= b;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+// One hash over row_ptr, col_idx and values of Â, then of Âᵀ.
+uint64_t AdjacencyFnv(const la::CsrMatrix& adj, const la::CsrMatrix& adj_t) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const la::CsrMatrix* m : {&adj, &adj_t}) {
+    h = Fnv1a64(m->row_ptr(), h);
+    h = Fnv1a64(m->col_idx(), h);
+    h = Fnv1a64(m->values(), h);
+  }
+  return h;
+}
+
+// A seeded world with repeated interactions, hub attribute values and
+// users over any small fan-in cap.
+struct PinWorld {
+  static constexpr size_t kUsers = 120, kItems = 90, kCategories = 8,
+                          kPriceLevels = 5, kTiers = 3;
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  std::vector<uint32_t> category, price, tier;
+
+  PinWorld() {
+    Rng rng(2020);
+    for (int e = 0; e < 900; ++e) {
+      pairs.emplace_back(static_cast<uint32_t>(rng.NextBelow(kUsers)),
+                         static_cast<uint32_t>(rng.NextBelow(kItems)));
+    }
+    for (size_t i = 0; i < kItems; ++i) {
+      category.push_back(static_cast<uint32_t>(rng.NextBelow(kCategories)));
+      price.push_back(static_cast<uint32_t>(rng.NextBelow(kPriceLevels)));
+    }
+    for (size_t u = 0; u < kUsers; ++u) {
+      tier.push_back(static_cast<uint32_t>(rng.NextBelow(kTiers)));
+    }
+  }
+
+  // The {category, price} paper layout with `options`.
+  uint64_t Paper(const HeteroGraphOptions& options) const {
+    HeteroGraph g(kUsers, kItems, kCategories, kPriceLevels, pairs, category,
+                  price, options);
+    return AdjacencyFnv(g.adjacency(), g.adjacency_transposed());
+  }
+
+  // The paper layout as Pup::Fit builds it for `config`.
+  uint64_t Paper(const core::PupConfig& config) const {
+    HeteroGraphOptions options;
+    options.use_category_nodes = config.use_category;
+    options.use_price_nodes = config.use_price;
+    options.add_self_loops = config.self_loops;
+    options.max_neighbors = config.max_neighbors;
+    options.neighbor_seed = config.train.seed;
+    return Paper(options);
+  }
+};
+
+// Every kind of normalized adjacency the models train on, pinned byte for
+// byte: the paper layout under each PupConfig preset's toggles, without
+// self-loops and with a fan-in cap; the user-item layout with and without
+// self-loops and with a cap; and a layout with two item blocks and a user
+// block. A change to how graphs are built must leave every Â and Âᵀ
+// identical, so trained models and checkpoints do not move.
+TEST(GraphFormatTest, AdjacencyBytesAreStable) {
+  const PinWorld w;
+  EXPECT_EQ(w.Paper(core::PupConfig::Full()), 0x704f96b7b25163b5ull);
+  EXPECT_EQ(w.Paper(core::PupConfig::Minus()), 0x746def11ba606629ull);
+  EXPECT_EQ(w.Paper(core::PupConfig::WithoutCategoryAndPrice()),
+            0x79da4ee4ce2dc6e9ull);
+  EXPECT_EQ(w.Paper(core::PupConfig::WithCategoryOnly()),
+            0x9ea73dde99f1d7d1ull);
+  EXPECT_EQ(w.Paper(core::PupConfig::WithPriceOnly()), 0x746def11ba606629ull);
+
+  HeteroGraphOptions no_loops;
+  no_loops.add_self_loops = false;
+  EXPECT_EQ(w.Paper(no_loops), 0x5c84b9e2a43b82a9ull);
+  HeteroGraphOptions capped;
+  capped.max_neighbors = 3;
+  capped.neighbor_seed = 11;
+  EXPECT_EQ(w.Paper(capped), 0x53498437cfb7c136ull);
+
+  const BipartiteGraph bipartite(PinWorld::kUsers, PinWorld::kItems, w.pairs);
+  EXPECT_EQ(
+      AdjacencyFnv(bipartite.adjacency(), bipartite.adjacency_transposed()),
+      0x3000c2c841e71f29ull);
+  const BipartiteGraph bipartite_no_loops(PinWorld::kUsers, PinWorld::kItems,
+                                          w.pairs, /*add_self_loops=*/false);
+  EXPECT_EQ(AdjacencyFnv(bipartite_no_loops.adjacency(),
+                         bipartite_no_loops.adjacency_transposed()),
+            0x8b153271c72f3c49ull);
+  const BipartiteGraph bipartite_capped(PinWorld::kUsers, PinWorld::kItems,
+                                        w.pairs, /*add_self_loops=*/true,
+                                        /*max_neighbors=*/3,
+                                        /*neighbor_seed=*/11);
+  EXPECT_EQ(AdjacencyFnv(bipartite_capped.adjacency(),
+                         bipartite_capped.adjacency_transposed()),
+            0x67fd2044f7281857ull);
+
+  const AttributeGraph blocks(
+      PinWorld::kUsers, PinWorld::kItems, w.pairs,
+      {{"category", PinWorld::kCategories, w.category},
+       {"price", PinWorld::kPriceLevels, w.price}},
+      {{"tier", PinWorld::kTiers, w.tier}});
+  EXPECT_EQ(AdjacencyFnv(blocks.adjacency(), blocks.adjacency_transposed()),
+            0x87c876781c925141ull);
 }
 
 }  // namespace
