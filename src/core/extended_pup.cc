@@ -18,24 +18,24 @@ void ExtendedPup::Fit(const data::Dataset& dataset,
   user_attr_index_.clear();
   for (size_t a = 0; a < config_.attributes.size(); ++a) {
     const ExtendedAttribute& attr = config_.attributes[a];
-    graph::AttributeBlock block{attr.name, attr.cardinality, attr.values};
+    const graph::AttributeBlock block{attr.cardinality, attr.values};
     if (attr.is_user_attribute) {
       PUP_CHECK_EQ(attr.values.size(), dataset.num_users);
       user_attr_index_.push_back(a);
-      user_blocks.push_back(std::move(block));
+      user_blocks.push_back(block);
     } else {
       PUP_CHECK_EQ(attr.values.size(), dataset.num_items);
       item_attr_index_.push_back(a);
-      item_blocks.push_back(std::move(block));
+      item_blocks.push_back(block);
     }
   }
 
   std::vector<std::pair<uint32_t, uint32_t>> pairs;
   pairs.reserve(train.size());
   for (const data::Interaction& x : train) pairs.emplace_back(x.user, x.item);
-  graph_ = std::make_unique<graph::AttributeGraph>(
-      dataset.num_users, dataset.num_items, pairs, std::move(item_blocks),
-      std::move(user_blocks), config_.self_loops);
+  graph_ = std::make_unique<graph::HeteroGraph>(
+      dataset.num_users, dataset.num_items, pairs, item_blocks, user_blocks,
+      graph::HeteroGraphOptions{.add_self_loops = config_.self_loops});
 
   node_emb_ = ag::Param(la::Matrix::Gaussian(
       graph_->num_nodes(), config_.embedding_dim, config_.init_stddev,

@@ -4,7 +4,8 @@
 // convolution + pairwise-interaction decoder) generalized to ANY number
 // of categorical item attributes and user attributes:
 //
-//   * The graph is an AttributeGraph: [users | items | attr blocks…].
+//   * The graph is a HeteroGraph with one attribute block per attribute:
+//     [users | items | item blocks… | user blocks…].
 //   * The encoder is one propagation F = tanh(Â E) (eq. 6) with
 //     feature-level dropout.
 //   * The decoder scores a (u, i) pair with all pairwise inner products
@@ -20,7 +21,7 @@
 #include <string>
 
 #include "autograd/tensor.h"
-#include "graph/attribute_graph.h"
+#include "graph/hetero_graph.h"
 #include "models/recommender.h"
 #include "models/scoring.h"
 #include "train/trainer.h"
@@ -71,7 +72,7 @@ class ExtendedPup : public models::Recommender,
                           const std::vector<uint32_t>& neg_items,
                           bool training) override;
 
-  const graph::AttributeGraph* graph() const { return graph_.get(); }
+  const graph::HeteroGraph* graph() const { return graph_.get(); }
 
  private:
   /// Propagated representations tanh(Â E), with dropout when training.
@@ -89,7 +90,7 @@ class ExtendedPup : public models::Recommender,
                           const std::vector<std::vector<uint32_t>>& fields);
 
   ExtendedPupConfig config_;
-  std::unique_ptr<graph::AttributeGraph> graph_;
+  std::unique_ptr<graph::HeteroGraph> graph_;
   // Indices into config_.attributes, split by side.
   std::vector<size_t> item_attr_index_;
   std::vector<size_t> user_attr_index_;

@@ -73,7 +73,7 @@ void Pup::Fit(const data::Dataset& dataset,
   }
   Rng rng(config_.train.seed);
   dropout_rng_ = rng.Fork();
-  num_users_ = dataset.num_users;
+  num_price_levels_ = dataset.num_price_levels;
 
   std::vector<std::pair<uint32_t, uint32_t>> pairs;
   pairs.reserve(train.size());
@@ -300,8 +300,8 @@ la::Matrix Pup::GlobalPriceEmbeddings() const {
   la::Spmm(graph_->adjacency(), global_.emb->value, &conv);
   la::Matrix propagated;
   la::Tanh(conv, &propagated);
-  la::Matrix out(graph_->num_price_levels(), global_.dim);
-  for (uint32_t p = 0; p < graph_->num_price_levels(); ++p) {
+  la::Matrix out(num_price_levels_, global_.dim);
+  for (uint32_t p = 0; p < num_price_levels_; ++p) {
     const float* src = propagated.Row(graph_->PriceNode(p));
     std::copy(src, src + global_.dim, out.Row(p));
   }

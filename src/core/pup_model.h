@@ -133,7 +133,7 @@ class Pup : public models::Recommender, public train::BprTrainable {
   Branch category_;  // Unused when !two_branch.
   Rng dropout_rng_{0};
   models::DotScorer scorer_;
-  size_t num_users_ = 0;
+  size_t num_price_levels_ = 0;
 
   // Per-batch node-index scratch, reused across steps (ForwardBatch
   // resizes; entries for disabled node types are never read).

@@ -59,7 +59,58 @@ la::CsrMatrix BuildNormalizedAdjacency(size_t num_nodes,
   return a.RowAveraged();
 }
 
+// The values of a {category, price} block: none when `linked` is off, so
+// the block keeps its node range without edges.
+std::span<const uint32_t> PaperBlockValues(const std::vector<uint32_t>& values,
+                                           size_t num_items, bool linked) {
+  PUP_CHECK_EQ(values.size(), num_items);
+  if (!linked) return {};
+  return values;
+}
+
 }  // namespace
+
+HeteroGraph::HeteroGraph(
+    size_t num_users, size_t num_items,
+    const std::vector<std::pair<uint32_t, uint32_t>>& interactions,
+    const std::vector<AttributeBlock>& item_blocks,
+    const std::vector<AttributeBlock>& user_blocks,
+    const HeteroGraphOptions& options)
+    : num_users_(num_users), num_items_(num_items) {
+  std::vector<la::Triplet> triplets;
+  triplets.reserve(2 * (interactions.size() + num_items * item_blocks.size() +
+                        num_users * user_blocks.size()));
+  for (const auto& [u, i] : interactions) {
+    PUP_CHECK(u < num_users && i < num_items);
+    AddUndirected(&triplets, UserNode(u), ItemNode(i));
+  }
+  // Lays one side's blocks out after the nodes placed so far and links
+  // entity e of that side (node `first + e`) to its value in each block.
+  size_t offset = num_users + num_items;
+  auto add_blocks = [&](const std::vector<AttributeBlock>& blocks,
+                        size_t num_entities, uint32_t first,
+                        std::vector<uint32_t>* offsets) {
+    for (const AttributeBlock& block : blocks) {
+      const auto begin = static_cast<uint32_t>(offset);
+      offsets->push_back(begin);
+      PUP_CHECK(block.values.empty() || block.values.size() == num_entities);
+      for (uint32_t e = 0; e < block.values.size(); ++e) {
+        PUP_CHECK(block.values[e] < block.cardinality);
+        AddUndirected(&triplets, first + e, begin + block.values[e]);
+      }
+      offset += block.cardinality;
+    }
+  };
+  add_blocks(item_blocks, num_items, ItemNode(0), &item_block_offsets_);
+  add_blocks(user_blocks, num_users, UserNode(0), &user_block_offsets_);
+  num_nodes_ = offset;
+
+  adj_ = BuildNormalizedAdjacency(num_nodes_, std::move(triplets),
+                                  options.add_self_loops,
+                                  options.max_neighbors,
+                                  options.neighbor_seed);
+  adj_t_ = adj_.Transposed();
+}
 
 HeteroGraph::HeteroGraph(
     size_t num_users, size_t num_items, size_t num_categories,
@@ -67,53 +118,13 @@ HeteroGraph::HeteroGraph(
     const std::vector<std::pair<uint32_t, uint32_t>>& interactions,
     const std::vector<uint32_t>& item_categories,
     const std::vector<uint32_t>& item_prices, const HeteroGraphOptions& options)
-    : num_users_(num_users),
-      num_items_(num_items),
-      num_categories_(num_categories),
-      num_price_levels_(num_price_levels) {
-  PUP_CHECK_EQ(item_categories.size(), num_items);
-  PUP_CHECK_EQ(item_prices.size(), num_items);
-
-  std::vector<la::Triplet> triplets;
-  triplets.reserve(2 * interactions.size() + 4 * num_items);
-
-  for (const auto& [u, i] : interactions) {
-    PUP_CHECK(u < num_users && i < num_items);
-    AddUndirected(&triplets, UserNode(u), ItemNode(i));
-  }
-  for (uint32_t i = 0; i < num_items; ++i) {
-    if (options.use_category_nodes) {
-      PUP_CHECK(item_categories[i] < num_categories);
-      AddUndirected(&triplets, ItemNode(i), CategoryNode(item_categories[i]));
-    }
-    if (options.use_price_nodes) {
-      PUP_CHECK(item_prices[i] < num_price_levels);
-      AddUndirected(&triplets, ItemNode(i), PriceNode(item_prices[i]));
-    }
-  }
-
-  adj_ = BuildNormalizedAdjacency(num_nodes(), std::move(triplets),
-                                  options.add_self_loops,
-                                  options.max_neighbors,
-                                  options.neighbor_seed);
-  adj_t_ = adj_.Transposed();
-}
-
-BipartiteGraph::BipartiteGraph(
-    size_t num_users, size_t num_items,
-    const std::vector<std::pair<uint32_t, uint32_t>>& interactions,
-    bool add_self_loops, size_t max_neighbors, uint64_t neighbor_seed)
-    : num_users_(num_users), num_items_(num_items) {
-  std::vector<la::Triplet> triplets;
-  triplets.reserve(2 * interactions.size());
-  for (const auto& [u, i] : interactions) {
-    PUP_CHECK(u < num_users && i < num_items);
-    AddUndirected(&triplets, UserNode(u), ItemNode(i));
-  }
-  adj_ = BuildNormalizedAdjacency(num_nodes(), std::move(triplets),
-                                  add_self_loops, max_neighbors,
-                                  neighbor_seed);
-  adj_t_ = adj_.Transposed();
-}
+    : HeteroGraph(num_users, num_items, interactions,
+                  {{num_categories,
+                    PaperBlockValues(item_categories, num_items,
+                                     options.use_category_nodes)},
+                   {num_price_levels,
+                    PaperBlockValues(item_prices, num_items,
+                                     options.use_price_nodes)}},
+                  {}, options) {}
 
 }  // namespace pup::graph

@@ -1,14 +1,21 @@
-// The unified heterogeneous graph of §III-A.
+// The unified heterogeneous graph of §III-A, with any number of
+// categorical attribute blocks (§VII: "user profiles can be added as
+// separate nodes linked to user nodes, while item features other than
+// price and category can be integrated similarly").
 //
-// Four node types share one id space:
-//   [ users | items | categories | prices ]
-// with edges (u,i) for every observed interaction, (i, c_i), (i, p_i), and
-// a self-loop on every node. The normalized adjacency Â = rowavg(A + I)
-// (eq. 5) and its transpose (needed by the SpMM backward pass) are built
-// once and reused for every training step.
+// All nodes share one id space, laid out in blocks:
+//   [ users | items | item-attribute blocks… | user-attribute blocks… ]
+// with an edge (u, i) for every observed interaction, (i, a) for each
+// item's value a in every item block, (u, b) for each user's value b in
+// every user block, and a self-loop on every node. The paper's graph is
+// the item blocks {category, price}; the GC-MC/NGCF user–item graph has no
+// blocks. The normalized adjacency Â = rowavg(A + I) (eq. 5) and its
+// transpose (needed by the SpMM backward pass) are built once and reused
+// for every training step.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "la/csr.h"
@@ -17,9 +24,11 @@ namespace pup::graph {
 
 /// Options controlling hetero-graph construction.
 struct HeteroGraphOptions {
-  /// Include item→category/category→item edges (PUP- removes them).
+  /// Include item→category/category→item edges (PUP- removes them). Read
+  /// by the {category, price} constructor only.
   bool use_category_nodes = true;
-  /// Include item→price/price→item edges (PUP w/o p removes them).
+  /// Include item→price/price→item edges (PUP w/o p removes them). Read by
+  /// the {category, price} constructor only.
   bool use_price_nodes = true;
   /// Add self-loops before normalizing (eq. 5; the paper cites [26] for
   /// why this matters — exposed so the ablation bench can switch it off).
@@ -34,15 +43,31 @@ struct HeteroGraphOptions {
   uint64_t neighbor_seed = 7;
 };
 
-/// The unified user–item–category–price graph with its normalized
-/// adjacency.
+/// One categorical attribute attached to every item or every user.
+struct AttributeBlock {
+  /// Number of distinct values: the node count this block contributes.
+  size_t cardinality = 0;
+  /// Value id (< cardinality) per item, or per user for a user block.
+  /// Empty: the block keeps its node range but adds no edges.
+  std::span<const uint32_t> values;
+};
+
+/// Users, items and attribute nodes with their normalized adjacency.
 class HeteroGraph {
  public:
-  /// Builds the graph.
-  ///
-  /// `interactions` are (user, item) pairs with user < num_users and
-  /// item < num_items; `item_categories[i]` < num_categories and
-  /// `item_prices[i]` < num_price_levels give each item's attribute nodes.
+  /// Builds the block-layout graph. `interactions` are (user, item) pairs
+  /// with user < num_users and item < num_items; blocks are laid out in
+  /// the order given. The two node toggles of `options` are not read.
+  HeteroGraph(size_t num_users, size_t num_items,
+              const std::vector<std::pair<uint32_t, uint32_t>>& interactions,
+              const std::vector<AttributeBlock>& item_blocks,
+              const std::vector<AttributeBlock>& user_blocks,
+              const HeteroGraphOptions& options = {});
+
+  /// Builds the paper's graph: item blocks {category, price}, where
+  /// `item_categories[i]` < num_categories and `item_prices[i]` <
+  /// num_price_levels. A block its toggle turns off keeps its nodes, each
+  /// with only its self-loop.
   HeteroGraph(size_t num_users, size_t num_items, size_t num_categories,
               size_t num_price_levels,
               const std::vector<std::pair<uint32_t, uint32_t>>& interactions,
@@ -52,26 +77,26 @@ class HeteroGraph {
 
   size_t num_users() const { return num_users_; }
   size_t num_items() const { return num_items_; }
-  size_t num_categories() const { return num_categories_; }
-  size_t num_price_levels() const { return num_price_levels_; }
 
-  /// Total node count across all four types.
-  size_t num_nodes() const {
-    return num_users_ + num_items_ + num_categories_ + num_price_levels_;
-  }
+  /// Total node count across users, items and every block.
+  size_t num_nodes() const { return num_nodes_; }
 
-  // Global node ids for each entity type.
+  // Global node ids.
   uint32_t UserNode(uint32_t u) const { return u; }
   uint32_t ItemNode(uint32_t i) const {
     return static_cast<uint32_t>(num_users_) + i;
   }
-  uint32_t CategoryNode(uint32_t c) const {
-    return static_cast<uint32_t>(num_users_ + num_items_) + c;
+  /// Node of value `v` of item block `block`.
+  uint32_t ItemAttributeNode(size_t block, uint32_t v) const {
+    return item_block_offsets_[block] + v;
   }
-  uint32_t PriceNode(uint32_t p) const {
-    return static_cast<uint32_t>(num_users_ + num_items_ + num_categories_) +
-           p;
+  /// Node of value `v` of user block `block`.
+  uint32_t UserAttributeNode(size_t block, uint32_t v) const {
+    return user_block_offsets_[block] + v;
   }
+  // The paper layout's category and price nodes: item blocks 0 and 1.
+  uint32_t CategoryNode(uint32_t c) const { return ItemAttributeNode(0, c); }
+  uint32_t PriceNode(uint32_t p) const { return ItemAttributeNode(1, p); }
 
   /// Normalized adjacency Â = rowavg(A + I), shape (num_nodes, num_nodes).
   const la::CsrMatrix& adjacency() const { return adj_; }
@@ -82,40 +107,10 @@ class HeteroGraph {
  private:
   size_t num_users_;
   size_t num_items_;
-  size_t num_categories_;
-  size_t num_price_levels_;
-  la::CsrMatrix adj_;
-  la::CsrMatrix adj_t_;
-};
-
-/// User–item bipartite graph (GC-MC / NGCF baselines): node space
-/// [ users | items ], Â = rowavg(A + I).
-class BipartiteGraph {
- public:
-  /// `max_neighbors`/`neighbor_seed` mirror HeteroGraphOptions: 0 keeps
-  /// every edge, N > 0 caps per-node fan-in by weighted sampling before
-  /// self-loops are added.
-  BipartiteGraph(size_t num_users, size_t num_items,
-                 const std::vector<std::pair<uint32_t, uint32_t>>&
-                     interactions,
-                 bool add_self_loops = true, size_t max_neighbors = 0,
-                 uint64_t neighbor_seed = 7);
-
-  size_t num_users() const { return num_users_; }
-  size_t num_items() const { return num_items_; }
-  size_t num_nodes() const { return num_users_ + num_items_; }
-
-  uint32_t UserNode(uint32_t u) const { return u; }
-  uint32_t ItemNode(uint32_t i) const {
-    return static_cast<uint32_t>(num_users_) + i;
-  }
-
-  const la::CsrMatrix& adjacency() const { return adj_; }
-  const la::CsrMatrix& adjacency_transposed() const { return adj_t_; }
-
- private:
-  size_t num_users_;
-  size_t num_items_;
+  size_t num_nodes_ = 0;
+  // First node id of each block.
+  std::vector<uint32_t> item_block_offsets_;
+  std::vector<uint32_t> user_block_offsets_;
   la::CsrMatrix adj_;
   la::CsrMatrix adj_t_;
 };

@@ -15,9 +15,11 @@ void GcMc::Fit(const data::Dataset& dataset,
   std::vector<std::pair<uint32_t, uint32_t>> pairs;
   pairs.reserve(train.size());
   for (const data::Interaction& x : train) pairs.emplace_back(x.user, x.item);
-  graph_ = std::make_unique<graph::BipartiteGraph>(
-      dataset.num_users, dataset.num_items, pairs, /*add_self_loops=*/true,
-      config_.max_neighbors, config_.train.seed);
+  const std::vector<graph::AttributeBlock> no_blocks;  // User–item only.
+  graph_ = std::make_unique<graph::HeteroGraph>(
+      dataset.num_users, dataset.num_items, pairs, no_blocks, no_blocks,
+      graph::HeteroGraphOptions{.max_neighbors = config_.max_neighbors,
+                                .neighbor_seed = config_.train.seed});
 
   node_emb_ = ag::Param(la::Matrix::Gaussian(
       graph_->num_nodes(), config_.embedding_dim, config_.init_stddev, &rng));

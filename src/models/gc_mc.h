@@ -70,7 +70,7 @@ class GcMc : public Recommender, public train::BprTrainable {
                        const std::vector<uint32_t>& neg_items);
 
   GcMcConfig config_;
-  std::unique_ptr<graph::BipartiteGraph> graph_;
+  std::unique_ptr<graph::HeteroGraph> graph_;
   ag::Tensor node_emb_;  // (num_nodes, d)
   ag::Tensor weight_;    // (d, d)
   Rng dropout_rng_{0};

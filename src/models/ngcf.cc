@@ -19,9 +19,11 @@ void Ngcf::Fit(const data::Dataset& dataset,
   std::vector<std::pair<uint32_t, uint32_t>> pairs;
   pairs.reserve(train.size());
   for (const data::Interaction& x : train) pairs.emplace_back(x.user, x.item);
-  graph_ = std::make_unique<graph::BipartiteGraph>(
-      dataset.num_users, dataset.num_items, pairs, /*add_self_loops=*/true,
-      config_.max_neighbors, config_.train.seed);
+  const std::vector<graph::AttributeBlock> no_blocks;  // User–item only.
+  graph_ = std::make_unique<graph::HeteroGraph>(
+      dataset.num_users, dataset.num_items, pairs, no_blocks, no_blocks,
+      graph::HeteroGraphOptions{.max_neighbors = config_.max_neighbors,
+                                .neighbor_seed = config_.train.seed});
 
   // Row-index maps for Propagate: static for the whole run.
   user_rows_.resize(dataset.num_users);

@@ -74,7 +74,7 @@ class Ngcf : public Recommender, public train::BprTrainable {
                        const std::vector<uint32_t>& neg_items);
 
   NgcfConfig config_;
-  std::unique_ptr<graph::BipartiteGraph> graph_;
+  std::unique_ptr<graph::HeteroGraph> graph_;
   std::vector<uint32_t> item_price_level_;
   ag::Tensor node_emb_;   // (num_nodes, d) id embeddings
   ag::Tensor price_emb_;  // (num_price_levels, d) item feature embeddings

@@ -1,5 +1,5 @@
-// Tests for the extension modules: AttributeGraph, ExtendedPup,
-// value-aware re-ranking, and binary matrix IO.
+// Tests for the extension modules: ExtendedPup, value-aware re-ranking,
+// and binary matrix IO.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,82 +11,10 @@
 #include "data/quantization.h"
 #include "data/synthetic.h"
 #include "eval/value_aware.h"
-#include "graph/attribute_graph.h"
 #include "la/io.h"
 
 namespace pup {
 namespace {
-
-// --------------------------- AttributeGraph ----------------------------
-
-graph::AttributeGraph MakeTinyAttributeGraph() {
-  // 2 users, 3 items; item attrs: color (2 values), size (3 values);
-  // user attr: tier (2 values).
-  return graph::AttributeGraph(
-      2, 3, {{0, 0}, {0, 1}, {1, 2}},
-      {{"color", 2, {0, 1, 1}}, {"size", 3, {2, 0, 1}}},
-      {{"tier", 2, {1, 0}}});
-}
-
-TEST(AttributeGraphTest, NodeLayout) {
-  auto g = MakeTinyAttributeGraph();
-  EXPECT_EQ(g.num_nodes(), 2u + 3u + 2u + 3u + 2u);
-  EXPECT_EQ(g.UserNode(1), 1u);
-  EXPECT_EQ(g.ItemNode(2), 4u);
-  EXPECT_EQ(g.ItemAttributeNode(0, 0), 5u);  // color block.
-  EXPECT_EQ(g.ItemAttributeNode(1, 0), 7u);  // size block.
-  EXPECT_EQ(g.UserAttributeNode(0, 1), 11u);  // tier block.
-}
-
-TEST(AttributeGraphTest, EdgesFollowAttributeValues) {
-  auto g = MakeTinyAttributeGraph();
-  const auto& adj = g.adjacency();
-  // Item 0 has color 0, size 2, one user, self → 4 entries.
-  EXPECT_EQ(adj.RowNnz(g.ItemNode(0)), 4u);
-  EXPECT_GT(adj.At(g.ItemNode(0), g.ItemAttributeNode(0, 0)), 0.0f);
-  EXPECT_GT(adj.At(g.ItemNode(0), g.ItemAttributeNode(1, 2)), 0.0f);
-  EXPECT_EQ(adj.At(g.ItemNode(0), g.ItemAttributeNode(0, 1)), 0.0f);
-  // User 0 has tier 1, two items, self → 4 entries.
-  EXPECT_EQ(adj.RowNnz(g.UserNode(0)), 4u);
-  EXPECT_GT(adj.At(g.UserNode(0), g.UserAttributeNode(0, 1)), 0.0f);
-}
-
-TEST(AttributeGraphTest, RowsSumToOne) {
-  auto g = MakeTinyAttributeGraph();
-  const auto& adj = g.adjacency();
-  for (size_t r = 0; r < adj.rows(); ++r) {
-    float sum = 0.0f;
-    for (uint32_t k = adj.row_ptr()[r]; k < adj.row_ptr()[r + 1]; ++k) {
-      sum += adj.values()[k];
-    }
-    EXPECT_NEAR(sum, 1.0f, 1e-6f) << "row " << r;
-  }
-}
-
-TEST(AttributeGraphTest, NoAttributesIsBipartite) {
-  graph::AttributeGraph g(2, 2, {{0, 0}, {1, 1}}, {}, {});
-  EXPECT_EQ(g.num_nodes(), 4u);
-  EXPECT_EQ(g.adjacency().RowNnz(g.UserNode(0)), 2u);  // Item + self.
-}
-
-TEST(AttributeGraphTest, MatchesHeteroGraphForCategoryPrice) {
-  // AttributeGraph with {category, price} must reproduce HeteroGraph's
-  // adjacency exactly (up to node numbering, which matches by layout).
-  std::vector<std::pair<uint32_t, uint32_t>> edges = {{0, 0}, {0, 1}, {1, 2}};
-  std::vector<uint32_t> cats = {0, 0, 1};
-  std::vector<uint32_t> prices = {0, 1, 1};
-  graph::HeteroGraph h(2, 3, 2, 2, edges, cats, prices);
-  graph::AttributeGraph a(2, 3, edges,
-                          {{"category", 2, cats}, {"price", 2, prices}});
-  ASSERT_EQ(h.num_nodes(), a.num_nodes());
-  ASSERT_EQ(h.adjacency().nnz(), a.adjacency().nnz());
-  for (size_t r = 0; r < h.num_nodes(); ++r) {
-    for (size_t c = 0; c < h.num_nodes(); ++c) {
-      EXPECT_FLOAT_EQ(h.adjacency().At(r, c), a.adjacency().At(r, c))
-          << "(" << r << "," << c << ")";
-    }
-  }
-}
 
 // ----------------------------- ExtendedPup -----------------------------
 
@@ -137,8 +65,10 @@ TEST(ExtendedPupTest, SupportsUserAttributes) {
   std::vector<float> scores;
   model.ScoreItems(0, &scores);
   ASSERT_EQ(scores.size(), ds.num_items);
-  EXPECT_EQ(model.graph()->num_user_attributes(), 1u);
-  EXPECT_EQ(model.graph()->num_item_attributes(), 2u);
+  // Users, items, the category and price blocks, and the tier block.
+  EXPECT_EQ(model.graph()->num_nodes(),
+            ds.num_users + ds.num_items + ds.num_categories +
+                ds.num_price_levels + 3);
 }
 
 TEST(ExtendedPupTest, FoldMatchesForwardDifferences) {

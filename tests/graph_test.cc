@@ -1,5 +1,6 @@
-// Tests for the heterogeneous and bipartite graph construction (§III-A,
-// eq. 5) and the byte-level pin of every adjacency layout.
+// Tests for the heterogeneous graph construction (§III-A, eq. 5): the
+// paper's {category, price} layout, the user–item layout with no blocks,
+// arbitrary attribute blocks, and the byte-level pin of every layout.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -7,7 +8,6 @@
 
 #include "common/rng.h"
 #include "core/pup_model.h"
-#include "graph/attribute_graph.h"
 #include "graph/hetero_graph.h"
 
 namespace pup::graph {
@@ -133,8 +133,10 @@ TEST(HeteroGraphTest, PriceNodesRemovable) {
   EXPECT_EQ(g.adjacency().RowNnz(g.PriceNode(0)), 1u);
 }
 
-TEST(BipartiteGraphTest, LayoutAndStructure) {
-  BipartiteGraph g(2, 3, {{0, 0}, {0, 1}, {1, 2}});
+// ----------------------- User–item graph (no blocks) ----------------------
+
+TEST(ZeroBlockGraphTest, LayoutAndStructure) {
+  HeteroGraph g(2, 3, {{0, 0}, {0, 1}, {1, 2}}, {}, {});
   EXPECT_EQ(g.num_nodes(), 5u);
   EXPECT_EQ(g.ItemNode(0), 2u);
   // u0: i0, i1, self.
@@ -152,10 +154,63 @@ TEST(BipartiteGraphTest, LayoutAndStructure) {
   }
 }
 
-TEST(BipartiteGraphTest, NoSelfLoopOption) {
-  BipartiteGraph g(1, 1, {{0, 0}}, /*add_self_loops=*/false);
+TEST(ZeroBlockGraphTest, NoSelfLoopOption) {
+  HeteroGraph g(1, 1, {{0, 0}}, {}, {}, {.add_self_loops = false});
   EXPECT_EQ(g.adjacency().At(0, 0), 0.0f);
   EXPECT_EQ(g.adjacency().At(0, 1), 1.0f);
+}
+
+// ---------------------------- Attribute blocks ----------------------------
+
+// 2 users, 3 items; item blocks: color (2 values), size (3 values); user
+// block: tier (2 values).
+const std::vector<uint32_t> kColor = {0, 1, 1}, kSize = {2, 0, 1},
+                            kTier = {1, 0};
+
+HeteroGraph MakeTinyBlockGraph() {
+  return HeteroGraph(2, 3, {{0, 0}, {0, 1}, {1, 2}}, {{2, kColor}, {3, kSize}},
+                     {{2, kTier}});
+}
+
+TEST(AttributeBlockTest, NodeLayout) {
+  auto g = MakeTinyBlockGraph();
+  EXPECT_EQ(g.num_nodes(), 2u + 3u + 2u + 3u + 2u);
+  EXPECT_EQ(g.UserNode(1), 1u);
+  EXPECT_EQ(g.ItemNode(2), 4u);
+  EXPECT_EQ(g.ItemAttributeNode(0, 0), 5u);  // color block.
+  EXPECT_EQ(g.ItemAttributeNode(1, 0), 7u);  // size block.
+  EXPECT_EQ(g.UserAttributeNode(0, 1), 11u);  // tier block.
+}
+
+TEST(AttributeBlockTest, EdgesFollowAttributeValues) {
+  auto g = MakeTinyBlockGraph();
+  const auto& adj = g.adjacency();
+  // Item 0 has color 0, size 2, one user, self → 4 entries.
+  EXPECT_EQ(adj.RowNnz(g.ItemNode(0)), 4u);
+  EXPECT_GT(adj.At(g.ItemNode(0), g.ItemAttributeNode(0, 0)), 0.0f);
+  EXPECT_GT(adj.At(g.ItemNode(0), g.ItemAttributeNode(1, 2)), 0.0f);
+  EXPECT_EQ(adj.At(g.ItemNode(0), g.ItemAttributeNode(0, 1)), 0.0f);
+  // User 0 has tier 1, two items, self → 4 entries.
+  EXPECT_EQ(adj.RowNnz(g.UserNode(0)), 4u);
+  EXPECT_GT(adj.At(g.UserNode(0), g.UserAttributeNode(0, 1)), 0.0f);
+}
+
+TEST(AttributeBlockTest, RowsSumToOne) {
+  auto g = MakeTinyBlockGraph();
+  const auto& adj = g.adjacency();
+  for (size_t r = 0; r < adj.rows(); ++r) {
+    float sum = 0.0f;
+    for (uint32_t k = adj.row_ptr()[r]; k < adj.row_ptr()[r + 1]; ++k) {
+      sum += adj.values()[k];
+    }
+    EXPECT_NEAR(sum, 1.0f, 1e-6f) << "row " << r;
+  }
+}
+
+TEST(AttributeBlockTest, NoAttributesIsBipartite) {
+  HeteroGraph g(2, 2, {{0, 0}, {1, 1}}, {}, {});
+  EXPECT_EQ(g.num_nodes(), 4u);
+  EXPECT_EQ(g.adjacency().RowNnz(g.UserNode(0)), 2u);  // Item + self.
 }
 
 // ------------------------- Adjacency format pin -------------------------
@@ -251,28 +306,28 @@ TEST(GraphFormatTest, AdjacencyBytesAreStable) {
   capped.neighbor_seed = 11;
   EXPECT_EQ(w.Paper(capped), 0x53498437cfb7c136ull);
 
-  const BipartiteGraph bipartite(PinWorld::kUsers, PinWorld::kItems, w.pairs);
+  const HeteroGraph bipartite(PinWorld::kUsers, PinWorld::kItems, w.pairs, {},
+                              {});
   EXPECT_EQ(
       AdjacencyFnv(bipartite.adjacency(), bipartite.adjacency_transposed()),
       0x3000c2c841e71f29ull);
-  const BipartiteGraph bipartite_no_loops(PinWorld::kUsers, PinWorld::kItems,
-                                          w.pairs, /*add_self_loops=*/false);
+  const HeteroGraph bipartite_no_loops(PinWorld::kUsers, PinWorld::kItems,
+                                       w.pairs, {}, {},
+                                       {.add_self_loops = false});
   EXPECT_EQ(AdjacencyFnv(bipartite_no_loops.adjacency(),
                          bipartite_no_loops.adjacency_transposed()),
             0x8b153271c72f3c49ull);
-  const BipartiteGraph bipartite_capped(PinWorld::kUsers, PinWorld::kItems,
-                                        w.pairs, /*add_self_loops=*/true,
-                                        /*max_neighbors=*/3,
-                                        /*neighbor_seed=*/11);
+  const HeteroGraph bipartite_capped(
+      PinWorld::kUsers, PinWorld::kItems, w.pairs, {}, {},
+      {.max_neighbors = 3, .neighbor_seed = 11});
   EXPECT_EQ(AdjacencyFnv(bipartite_capped.adjacency(),
                          bipartite_capped.adjacency_transposed()),
             0x67fd2044f7281857ull);
 
-  const AttributeGraph blocks(
+  const HeteroGraph blocks(
       PinWorld::kUsers, PinWorld::kItems, w.pairs,
-      {{"category", PinWorld::kCategories, w.category},
-       {"price", PinWorld::kPriceLevels, w.price}},
-      {{"tier", PinWorld::kTiers, w.tier}});
+      {{PinWorld::kCategories, w.category}, {PinWorld::kPriceLevels, w.price}},
+      {{PinWorld::kTiers, w.tier}});
   EXPECT_EQ(AdjacencyFnv(blocks.adjacency(), blocks.adjacency_transposed()),
             0x87c876781c925141ull);
 }

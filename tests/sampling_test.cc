@@ -511,13 +511,13 @@ TEST(NeighborSamplingTest, RowsUnderCapCopiedVerbatim) {
   EXPECT_EQ(adj.values(), capped.values());
 }
 
-TEST(NeighborSamplingTest, BipartiteGraphCapBoundsDegreeAndKeepsSelfLoop) {
+TEST(NeighborSamplingTest, ZeroBlockGraphCapBoundsDegreeAndKeepsSelfLoop) {
   // 2 users x 40 items, user 0 bought everything.
   std::vector<std::pair<uint32_t, uint32_t>> pairs;
   for (uint32_t i = 0; i < 40; ++i) pairs.emplace_back(0, i);
   pairs.emplace_back(1, 0);
-  graph::BipartiteGraph capped(2, 40, pairs, /*add_self_loops=*/true,
-                               /*max_neighbors=*/4, /*neighbor_seed=*/7);
+  graph::HeteroGraph capped(2, 40, pairs, {}, {},
+                            {.max_neighbors = 4, .neighbor_seed = 7});
   const la::CsrMatrix& adj = capped.adjacency();
   for (size_t r = 0; r < adj.rows(); ++r) {
     const size_t nnz = adj.row_ptr()[r + 1] - adj.row_ptr()[r];
@@ -531,8 +531,9 @@ TEST(NeighborSamplingTest, BipartiteGraphCapBoundsDegreeAndKeepsSelfLoop) {
   }
   // Unlimited graph is bitwise-identical to one built with a cap larger
   // than any degree: the golden path is untouched.
-  graph::BipartiteGraph golden(2, 40, pairs);
-  graph::BipartiteGraph wide(2, 40, pairs, true, 1000, 7);
+  graph::HeteroGraph golden(2, 40, pairs, {}, {});
+  graph::HeteroGraph wide(2, 40, pairs, {}, {},
+                          {.max_neighbors = 1000, .neighbor_seed = 7});
   EXPECT_EQ(golden.adjacency().row_ptr(), wide.adjacency().row_ptr());
   EXPECT_EQ(golden.adjacency().col_idx(), wide.adjacency().col_idx());
   EXPECT_EQ(golden.adjacency().values(), wide.adjacency().values());
