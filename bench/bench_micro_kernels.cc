@@ -445,8 +445,7 @@ void RecordSimdSweep(benchmark::State& state, const std::string& family,
 // Registers Arg(kOff) first, then each backend this host can run.
 void SimdSweepArgs(benchmark::internal::Benchmark* b) {
   b->Arg(static_cast<int>(simd::Isa::kOff));
-  for (simd::Isa isa :
-       {simd::Isa::kNeon, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
+  for (simd::Isa isa : {simd::Isa::kAvx2, simd::Isa::kAvx512}) {
     if (simd::IsaSupported(isa)) b->Arg(static_cast<int>(isa));
   }
 }

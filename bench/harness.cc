@@ -40,7 +40,7 @@ Env GetEnv() {
     env.threads = std::atoi(s);
   }
   ThreadPool::SetGlobalThreads(env.threads);
-  // PUP_BENCH_SIMD mirrors the --simd flag (auto|off|neon|avx2|avx512);
+  // PUP_BENCH_SIMD mirrors the --simd flag (auto|off|avx2|avx512);
   // unset keeps the auto-detected backend.
   if (const char* s = std::getenv("PUP_BENCH_SIMD")) {
     const Status st = simd::SetActiveIsaFromString(s);

@@ -31,12 +31,6 @@ bool IsaSupported(Isa isa) {
   switch (isa) {
     case Isa::kOff:
       return true;
-    case Isa::kNeon:
-#if defined(__aarch64__)
-      return true;  // NEON is architecturally mandatory on aarch64.
-#else
-      return false;
-#endif
     case Isa::kAvx2:
 #if defined(PUP_HAVE_AVX2)
       return __builtin_cpu_supports("avx2") != 0;
@@ -80,8 +74,6 @@ const char* IsaName(Isa isa) {
   switch (isa) {
     case Isa::kOff:
       return "off";
-    case Isa::kNeon:
-      return "neon";
     case Isa::kAvx2:
       return "avx2";
     case Isa::kAvx512:
@@ -94,8 +86,6 @@ size_t IsaLaneWidth(Isa isa) {
   switch (isa) {
     case Isa::kOff:
       return 1;
-    case Isa::kNeon:
-      return 4;
     case Isa::kAvx2:
       return 8;
     case Isa::kAvx512:
@@ -122,7 +112,7 @@ Status SetActiveIsaFromString(const std::string& value) {
   }
   return Status::InvalidArgument(
       "unknown --simd value '" + value +
-      "' (expected auto, off, neon, avx2, or avx512)");
+      "' (expected auto, off, avx2, or avx512)");
 }
 
 }  // namespace pup::simd

@@ -2,11 +2,11 @@
 // la::simd kernel backends dispatch on.
 //
 // The active ISA is chosen once at startup: `auto` probes the CPU
-// (CPUID-backed __builtin_cpu_supports on x86, compile-time NEON on
-// aarch64) and picks the widest supported backend; the global
-// `--simd={auto,avx2,avx512,neon,off}` flag pins it explicitly. `off` is
-// the golden path — plain scalar kernels, bitwise-identical to the
-// pre-SIMD library.
+// (CPUID-backed __builtin_cpu_supports on x86; other architectures run
+// the scalar backend) and picks the widest supported backend; the global
+// `--simd={auto,avx2,avx512,off}` flag pins it explicitly. `off` is the
+// golden path — plain scalar kernels, bitwise-identical to the pre-SIMD
+// library.
 //
 // Determinism contract (docs/simd.md): results are a pure function of
 // (lane width, --threads-independent chunking). Changing the active ISA
@@ -27,11 +27,10 @@ namespace pup::simd {
 /// when the host or compiler lacks them.
 enum class Isa : int {
   kOff = 0,
-  kNeon = 1,
-  kAvx2 = 2,
-  kAvx512 = 3,
+  kAvx2 = 1,
+  kAvx512 = 2,
 };
-inline constexpr int kNumIsas = 4;
+inline constexpr int kNumIsas = 3;
 
 /// True when this process can execute `isa` (compiled in AND supported
 /// by the host CPU). kOff is always supported.
@@ -49,10 +48,10 @@ Isa ActiveIsa();
 /// (set it at startup, before parallel work).
 void SetActiveIsa(Isa isa);
 
-/// Lowercase name: "off", "neon", "avx2", "avx512".
+/// Lowercase name: "off", "avx2", "avx512".
 const char* IsaName(Isa isa);
 
-/// Vector width in floats: 1, 4, 8, 16.
+/// Vector width in floats: 1, 8, 16.
 size_t IsaLaneWidth(Isa isa);
 
 /// Parses a --simd flag value ("auto" or an IsaName). Errors on unknown

@@ -142,8 +142,5 @@ const Backend& Avx2Backend();
 #if defined(PUP_HAVE_AVX512)
 const Backend& Avx512Backend();
 #endif
-#if defined(__aarch64__)
-const Backend& NeonBackend();
-#endif
 
 }  // namespace pup::la::simd

@@ -13,11 +13,6 @@ namespace {
 const Backend* const* IsaTable() {
   static const Backend* table[pup::simd::kNumIsas] = {
       &ScalarBackend(),
-#if defined(__aarch64__)
-      &NeonBackend(),
-#else
-      &ScalarBackend(),
-#endif
 #if defined(PUP_HAVE_AVX2)
       &Avx2Backend(),
 #else

@@ -48,8 +48,8 @@ inline float RowDotOne(const float* x, const float* y, size_t k) {
 }
 
 // exp(x) for x <= 0; identical polynomial and operation order to the
-// AVX2/NEON versions (simd_math.h), so elementwise results match across
-// vector ISAs bitwise.
+// AVX2 version (simd_math.h), so elementwise results match across vector
+// ISAs bitwise.
 inline __m512 ExpNegPs(__m512 x) {
   x = _mm512_max_ps(x, _mm512_set1_ps(kExpLowClamp));
   __m512 fx = _mm512_mul_ps(x, _mm512_set1_ps(kLog2E));

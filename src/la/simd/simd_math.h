@@ -1,5 +1,5 @@
 // Coefficients for the vector transcendental approximations, shared by
-// every vector backend (AVX2 / AVX-512 / NEON) so all lane widths
+// every vector backend (AVX2 / AVX-512) so all lane widths
 // evaluate the exact same polynomials — elementwise results are then
 // bitwise-identical across vector ISAs (no FMA, identical operation
 // order per element; see docs/simd.md).

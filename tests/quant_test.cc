@@ -60,7 +60,7 @@ const auto* const kSimdPinEnv =
 
 std::vector<Isa> SupportedIsas() {
   std::vector<Isa> isas{Isa::kOff};
-  for (Isa isa : {Isa::kNeon, Isa::kAvx2, Isa::kAvx512}) {
+  for (Isa isa : {Isa::kAvx2, Isa::kAvx512}) {
     if (simd::IsaSupported(isa)) isas.push_back(isa);
   }
   return isas;
@@ -542,7 +542,7 @@ TEST(ServeQuantTest, RepliesBitwiseIdenticalAcrossDispatchAndSchedule) {
     }
 
     std::vector<Isa> isas{Isa::kOff};
-    for (Isa isa : {Isa::kNeon, Isa::kAvx2, Isa::kAvx512}) {
+    for (Isa isa : {Isa::kAvx2, Isa::kAvx512}) {
       if (simd::IsaSupported(isa)) isas.push_back(isa);
     }
     for (Isa isa : isas) {

@@ -294,8 +294,8 @@ TEST(ServeParityTest, ServedTopKMatchesOfflineEvalBitwise) {
   const Config configs[] = {
       {1, 1, 0}, {1, 32, 128}, {4, 1, 0}, {4, 32, 0}, {4, 32, 128}};
 
-  for (simd::Isa isa : {simd::Isa::kOff, simd::Isa::kNeon, simd::Isa::kAvx2,
-                        simd::Isa::kAvx512}) {
+  for (simd::Isa isa :
+       {simd::Isa::kOff, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
     if (!simd::IsaSupported(isa)) continue;
     simd::SetActiveIsa(isa);
     // Per-backend reference: lane-reduced kernels are bitwise-stable

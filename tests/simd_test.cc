@@ -62,7 +62,7 @@ using MatrixLayoutTest = SimdTest;
 
 std::vector<Isa> AllIsas() {
   std::vector<Isa> isas = {Isa::kOff};
-  for (Isa isa : {Isa::kNeon, Isa::kAvx2, Isa::kAvx512}) {
+  for (Isa isa : {Isa::kAvx2, Isa::kAvx512}) {
     if (simd::IsaSupported(isa)) isas.push_back(isa);
   }
   return isas;
@@ -146,7 +146,7 @@ TEST_F(SimdDispatchTest, ProbeAndFlagParsing) {
   EXPECT_FALSE(bogus.ok());
   EXPECT_NE(bogus.message().find("sse9"), std::string::npos);
 
-  for (Isa isa : {Isa::kNeon, Isa::kAvx2, Isa::kAvx512}) {
+  for (Isa isa : {Isa::kAvx2, Isa::kAvx512}) {
     if (simd::IsaSupported(isa)) {
       EXPECT_TRUE(simd::SetActiveIsaFromString(simd::IsaName(isa)).ok());
       EXPECT_EQ(simd::ActiveIsa(), isa);
@@ -167,7 +167,7 @@ TEST_F(SimdDispatchTest, TablesMatchTheirIsa) {
     EXPECT_NE(be.dispatch_count, nullptr);
   }
   // Unsupported slots fall back to the scalar table.
-  for (Isa isa : {Isa::kNeon, Isa::kAvx2, Isa::kAvx512}) {
+  for (Isa isa : {Isa::kAvx2, Isa::kAvx512}) {
     if (!simd::IsaSupported(isa)) {
       EXPECT_EQ(la::simd::ForIsa(isa).isa, Isa::kOff);
     }
