@@ -34,6 +34,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", checkpoint.status().ToString().c_str());
     return 2;
   }
+  Result<size_t> max_neighbors = train::MaxNeighborsFromFlags(flags);
+  if (!max_neighbors.ok()) {
+    std::fprintf(stderr, "%s\n", max_neighbors.status().ToString().c_str());
+    return 2;
+  }
   // --metrics-out / --trace-out: dump metrics JSON ("-" = table on
   // stderr) and a chrome://tracing event trace at exit.
   obs::ScopedExport obs_export(flags.GetString("metrics-out", ""),
@@ -63,15 +68,12 @@ int main(int argc, char** argv) {
 
   // --neg-sampling/--neg-alpha and --max-neighbors (docs/sampling.md)
   // apply to both models so the comparison stays apples-to-apples.
-  const auto max_neighbors = static_cast<size_t>(
-      std::max<int64_t>(flags.GetInt("max-neighbors", 0), 0));
-
   models::GcMcConfig gc_config;
   gc_config.train.epochs = 20;
   gc_config.train.checkpoint = checkpoint_in("gc-mc");
   train::ApplyCheckNumericsFlag(flags, &gc_config.train);
   PUP_CHECK(train::ApplyNegSamplingFlags(flags, &gc_config.train).ok());
-  gc_config.max_neighbors = max_neighbors;
+  gc_config.max_neighbors = *max_neighbors;
   models::GcMc gc_mc(gc_config);
   std::printf("training %s...\n", gc_mc.name().c_str());
   gc_mc.Fit(dataset, split.train);
@@ -81,7 +83,7 @@ int main(int argc, char** argv) {
   pup_config.train.checkpoint = checkpoint_in("pup");
   train::ApplyCheckNumericsFlag(flags, &pup_config.train);
   PUP_CHECK(train::ApplyNegSamplingFlags(flags, &pup_config.train).ok());
-  pup_config.max_neighbors = max_neighbors;
+  pup_config.max_neighbors = *max_neighbors;
   core::Pup pup(pup_config);
   std::printf("training %s...\n\n", pup.name().c_str());
   pup.Fit(dataset, split.train);

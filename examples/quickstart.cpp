@@ -37,6 +37,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", checkpoint.status().ToString().c_str());
     return 2;
   }
+  Result<size_t> max_neighbors = train::MaxNeighborsFromFlags(flags);
+  if (!max_neighbors.ok()) {
+    std::fprintf(stderr, "%s\n", max_neighbors.status().ToString().c_str());
+    return 2;
+  }
   // --metrics-out / --trace-out: dump metrics JSON ("-" = table on
   // stderr) and a chrome://tracing event trace at exit.
   obs::ScopedExport obs_export(flags.GetString("metrics-out", ""),
@@ -60,8 +65,7 @@ int main(int argc, char** argv) {
   config.train.checkpoint = *checkpoint;
   train::ApplyCheckNumericsFlag(flags, &config.train);
   PUP_CHECK(train::ApplyNegSamplingFlags(flags, &config.train).ok());
-  config.max_neighbors = static_cast<size_t>(
-      std::max<int64_t>(flags.GetInt("max-neighbors", 0), 0));
+  config.max_neighbors = *max_neighbors;
   core::Pup model(config);
   std::printf("training %s (%d epochs)...\n", model.name().c_str(),
               config.train.epochs);

@@ -225,21 +225,41 @@ Status ApplyNegSamplingFlags(const Flags& flags, TrainOptions* options) {
   return Status::OK();
 }
 
+namespace {
+
+// Reads integer flag --`name` (absent: 0) strictly: the whole value must
+// be a non-negative integer that fits T. Flags::GetInt would read "abc"
+// as 0 and keep "-3".
+template <typename T>
+Result<T> NonNegativeIntFlag(const Flags& flags, const std::string& name) {
+  const std::string text = flags.GetString(name, "0");
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || std::cmp_less(value, 0)) {
+    return Status::InvalidArgument("--" + name +
+                                   " is not a non-negative integer: '" +
+                                   text + "'");
+  }
+  return value;
+}
+
+}  // namespace
+
 Result<CheckpointOptions> CheckpointOptionsFromFlags(const Flags& flags) {
   CheckpointOptions options;
   options.directory = flags.GetString("ckpt-dir", "");
   options.resume_from = flags.GetString("resume", "");
-  const std::string save_every = flags.GetString("save-every", "0");
-  const char* end = save_every.data() + save_every.size();
-  auto [ptr, ec] = std::from_chars(save_every.data(), end, options.save_every);
-  if (ec != std::errc() || ptr != end || options.save_every < 0) {
-    return Status::InvalidArgument(
-        "--save-every is not a non-negative integer: '" + save_every + "'");
-  }
+  PUP_ASSIGN_OR_RETURN(options.save_every,
+                       NonNegativeIntFlag<int>(flags, "save-every"));
   if (options.save_every > 0 && options.directory.empty()) {
     return Status::InvalidArgument("--save-every needs --ckpt-dir");
   }
   return options;
+}
+
+Result<size_t> MaxNeighborsFromFlags(const Flags& flags) {
+  return NonNegativeIntFlag<size_t>(flags, "max-neighbors");
 }
 
 std::vector<ag::Tensor> BprTrainable::Parameters() {

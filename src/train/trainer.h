@@ -50,6 +50,12 @@ struct CheckpointOptions {
 /// without --ckpt-dir (either would silently disable snapshots).
 Result<CheckpointOptions> CheckpointOptionsFromFlags(const Flags& flags);
 
+/// Reads --max-neighbors N, the graph models' per-node fan-in cap shared
+/// by pup_cli and the examples (absent: 0, every edge kept).
+/// InvalidArgument when N is not a non-negative integer, which would
+/// otherwise silently train on the full graph.
+Result<size_t> MaxNeighborsFromFlags(const Flags& flags);
+
 /// Hyper-parameters of a training run (§V-A3 defaults, scaled down).
 struct TrainOptions {
   int epochs = 40;

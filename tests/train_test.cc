@@ -265,6 +265,47 @@ TEST(CheckpointFlagsTest, AcceptsAValidSet) {
   EXPECT_TRUE(none->directory.empty());
 }
 
+// ------------------------- --max-neighbors flag -------------------------
+
+Result<size_t> MaxNeighborsFlag(std::vector<const char*> argv) {
+  argv.insert(argv.begin(), "prog");
+  return MaxNeighborsFromFlags(
+      Flags::Parse(static_cast<int>(argv.size()), argv.data()));
+}
+
+// Read leniently, "abc" became 0 and silently trained the full graph.
+TEST(MaxNeighborsFlagTest, RejectsANonInteger) {
+  for (const char* value : {"abc", "3x", "2.5", "99999999999999999999"}) {
+    const std::string flag = std::string("--max-neighbors=") + value;
+    Result<size_t> cap = MaxNeighborsFlag({flag.c_str()});
+    ASSERT_FALSE(cap.ok()) << value;
+    EXPECT_EQ(cap.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(cap.status().message().find(value), std::string::npos)
+        << cap.status().message();
+  }
+}
+
+// Read leniently, "-3" was clamped to 0 and silently trained the full
+// graph.
+TEST(MaxNeighborsFlagTest, RejectsANegativeValue) {
+  Result<size_t> cap = MaxNeighborsFlag({"--max-neighbors=-3"});
+  ASSERT_FALSE(cap.ok());
+  EXPECT_EQ(cap.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(cap.status().message().find("--max-neighbors"),
+            std::string::npos);
+}
+
+TEST(MaxNeighborsFlagTest, AcceptsAValidOrAbsentFlag) {
+  Result<size_t> cap = MaxNeighborsFlag({"--max-neighbors", "8"});
+  ASSERT_TRUE(cap.ok()) << cap.status().ToString();
+  EXPECT_EQ(*cap, 8u);
+
+  // Absent: no cap.
+  Result<size_t> none = MaxNeighborsFlag({});
+  ASSERT_TRUE(none.ok());
+  EXPECT_EQ(*none, 0u);
+}
+
 // A checkpoint directory that cannot be written (here: it is a regular
 // file) fails every save; each failure is counted, and training runs to
 // the end regardless.

@@ -171,9 +171,11 @@ std::unique_ptr<models::Recommender> MakeModel(const std::string& name,
   size_t dim = static_cast<size_t>(flags.GetInt("dim", 64));
   // Per-node fan-in cap for the graph models; scorer-only models query
   // (and ignore) it so a provided flag never trips the unknown-flag gate.
-  size_t max_neighbors =
-      static_cast<size_t>(std::max<int64_t>(flags.GetInt("max-neighbors", 0),
-                                            0));
+  Result<size_t> max_neighbors = train::MaxNeighborsFromFlags(flags);
+  if (!max_neighbors.ok()) {
+    std::fprintf(stderr, "%s\n", max_neighbors.status().ToString().c_str());
+    return nullptr;
+  }
 
   if (name == "itempop") return std::make_unique<models::ItemPop>();
   if (name == "bpr-mf") {
@@ -197,14 +199,14 @@ std::unique_ptr<models::Recommender> MakeModel(const std::string& name,
   if (name == "gc-mc") {
     models::GcMcConfig c;
     c.embedding_dim = dim;
-    c.max_neighbors = max_neighbors;
+    c.max_neighbors = *max_neighbors;
     c.train = t;
     return std::make_unique<models::GcMc>(c);
   }
   if (name == "ngcf") {
     models::NgcfConfig c;
     c.embedding_dim = dim;
-    c.max_neighbors = max_neighbors;
+    c.max_neighbors = *max_neighbors;
     c.train = t;
     return std::make_unique<models::Ngcf>(c);
   }
@@ -220,7 +222,7 @@ std::unique_ptr<models::Recommender> MakeModel(const std::string& name,
     c.embedding_dim = dim;
     if (c.two_branch) c.category_branch_dim = dim / 8;
     c.alpha = static_cast<float>(flags.GetDouble("alpha", c.alpha));
-    c.max_neighbors = max_neighbors;
+    c.max_neighbors = *max_neighbors;
     c.train = t;
     return std::make_unique<core::Pup>(c);
   }
