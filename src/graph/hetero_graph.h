@@ -47,8 +47,9 @@ struct HeteroGraphOptions {
 struct AttributeBlock {
   /// Number of distinct values: the node count this block contributes.
   size_t cardinality = 0;
-  /// Value id (< cardinality) per item, or per user for a user block.
-  /// Empty: the block keeps its node range but adds no edges.
+  /// Value id (< cardinality) per item, or per user for a user block,
+  /// read only while the graph is built. Empty: the block keeps its node
+  /// range but adds no edges.
   std::span<const uint32_t> values;
 };
 
