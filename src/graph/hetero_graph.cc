@@ -59,13 +59,20 @@ la::CsrMatrix BuildNormalizedAdjacency(size_t num_nodes,
   return a.RowAveraged();
 }
 
-// The values of a {category, price} block: none when `linked` is off, so
-// the block keeps its node range without edges.
-std::span<const uint32_t> PaperBlockValues(const std::vector<uint32_t>& values,
-                                           size_t num_items, bool linked) {
-  PUP_CHECK_EQ(values.size(), num_items);
-  if (!linked) return {};
-  return values;
+// The paper's item blocks {category, price}. A block its toggle turns off
+// gets no values: it keeps its node range but adds no edges.
+std::vector<AttributeBlock> CategoryPriceBlocks(
+    size_t num_items, size_t num_categories, size_t num_price_levels,
+    const std::vector<uint32_t>& item_categories,
+    const std::vector<uint32_t>& item_prices,
+    const HeteroGraphOptions& options) {
+  PUP_CHECK_EQ(item_categories.size(), num_items);
+  PUP_CHECK_EQ(item_prices.size(), num_items);
+  std::vector<AttributeBlock> blocks = {{num_categories, item_categories},
+                                        {num_price_levels, item_prices}};
+  if (!options.use_category_nodes) blocks[0].values = {};
+  if (!options.use_price_nodes) blocks[1].values = {};
+  return blocks;
 }
 
 }  // namespace
@@ -119,12 +126,9 @@ HeteroGraph::HeteroGraph(
     const std::vector<uint32_t>& item_categories,
     const std::vector<uint32_t>& item_prices, const HeteroGraphOptions& options)
     : HeteroGraph(num_users, num_items, interactions,
-                  {{num_categories,
-                    PaperBlockValues(item_categories, num_items,
-                                     options.use_category_nodes)},
-                   {num_price_levels,
-                    PaperBlockValues(item_prices, num_items,
-                                     options.use_price_nodes)}},
+                  CategoryPriceBlocks(num_items, num_categories,
+                                      num_price_levels, item_categories,
+                                      item_prices, options),
                   {}, options) {}
 
 }  // namespace pup::graph

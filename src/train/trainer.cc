@@ -237,9 +237,8 @@ Result<T> NonNegativeIntFlag(const Flags& flags, const std::string& name) {
   const char* end = text.data() + text.size();
   auto [ptr, ec] = std::from_chars(text.data(), end, value);
   if (ec != std::errc() || ptr != end || std::cmp_less(value, 0)) {
-    return Status::InvalidArgument("--" + name +
-                                   " is not a non-negative integer: '" +
-                                   text + "'");
+    return Status::InvalidArgument(
+        "--" + name + " is not a non-negative integer: '" + text + "'");
   }
   return value;
 }

@@ -291,8 +291,7 @@ TEST(MaxNeighborsFlagTest, RejectsANegativeValue) {
   Result<size_t> cap = MaxNeighborsFlag({"--max-neighbors=-3"});
   ASSERT_FALSE(cap.ok());
   EXPECT_EQ(cap.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(cap.status().message().find("--max-neighbors"),
-            std::string::npos);
+  EXPECT_NE(cap.status().message().find("--max-neighbors"), std::string::npos);
 }
 
 TEST(MaxNeighborsFlagTest, AcceptsAValidOrAbsentFlag) {
