@@ -4,7 +4,6 @@
 
 #include "autograd/ops.h"
 #include "common/check.h"
-#include "la/kernels.h"
 
 namespace pup::core {
 
@@ -73,7 +72,6 @@ void Pup::Fit(const data::Dataset& dataset,
   }
   Rng rng(config_.train.seed);
   dropout_rng_ = rng.Fork();
-  num_price_levels_ = dataset.num_price_levels;
 
   std::vector<std::pair<uint32_t, uint32_t>> pairs;
   pairs.reserve(train.size());
@@ -92,6 +90,14 @@ void Pup::Fit(const data::Dataset& dataset,
           ? std::vector<uint32_t>(dataset.num_items, 0)
           : dataset.item_price_level,
       gopts);
+  item_category_nodes_.resize(config_.use_category ? dataset.num_items : 0);
+  item_price_nodes_.resize(config_.use_price ? dataset.num_items : 0);
+  for (uint32_t i = 0; i < item_category_nodes_.size(); ++i) {
+    item_category_nodes_[i] = graph_->CategoryNode(dataset.item_category[i]);
+  }
+  for (uint32_t i = 0; i < item_price_nodes_.size(); ++i) {
+    item_price_nodes_[i] = graph_->PriceNode(dataset.item_price_level[i]);
+  }
 
   global_.dim = config_.two_branch
                     ? config_.embedding_dim - config_.category_branch_dim
@@ -104,7 +110,6 @@ void Pup::Fit(const data::Dataset& dataset,
         graph_->num_nodes(), category_.dim, config_.init_stddev, &rng));
   }
 
-  dataset_ = &dataset;
   train::TrainBpr(this, dataset, train, config_.train);
 
   // --- Inference cache: fold eq. (3) into user/item vectors + bias. ---
@@ -117,6 +122,13 @@ void Pup::Fit(const data::Dataset& dataset,
   la::Matrix fc_matrix;
   if (two) {
     fc_matrix = Propagate(category_, /*training=*/false)->value;
+  }
+  if (config_.use_price) {
+    global_price_emb_ = la::Matrix(dataset.num_price_levels, global_.dim);
+    for (uint32_t p = 0; p < dataset.num_price_levels; ++p) {
+      const float* src = g.Row(graph_->PriceNode(p));
+      std::copy(src, src + global_.dim, global_price_emb_.Row(p));
+    }
   }
   const size_t d_total = global_.dim + (two ? category_.dim : 0);
   la::Matrix user_vecs(dataset.num_users, d_total);
@@ -134,13 +146,10 @@ void Pup::Fit(const data::Dataset& dataset,
   for (uint32_t i = 0; i < dataset.num_items; ++i) {
     float* dst = item_vecs.Row(i);
     const float* fi = g.Row(graph_->ItemNode(i));
-    const float* fp = config_.use_price
-                          ? g.Row(graph_->PriceNode(
-                                dataset.item_price_level[i]))
-                          : nullptr;
-    const float* fc = config_.use_category
-                          ? g.Row(graph_->CategoryNode(dataset.item_category[i]))
-                          : nullptr;
+    const float* fp =
+        config_.use_price ? g.Row(item_price_nodes_[i]) : nullptr;
+    const float* fc =
+        config_.use_category ? g.Row(item_category_nodes_[i]) : nullptr;
     float bias = 0.0f;
     for (size_t j = 0; j < global_.dim; ++j) {
       float v = fi[j];
@@ -155,10 +164,8 @@ void Pup::Fit(const data::Dataset& dataset,
       dst[j] = v;
     }
     if (two) {
-      const float* cc =
-          fc_matrix.Row(graph_->CategoryNode(dataset.item_category[i]));
-      const float* cp =
-          fc_matrix.Row(graph_->PriceNode(dataset.item_price_level[i]));
+      const float* cc = fc_matrix.Row(item_category_nodes_[i]);
+      const float* cp = fc_matrix.Row(item_price_nodes_[i]);
       for (size_t j = 0; j < category_.dim; ++j) {
         dst[global_.dim + j] = config_.alpha * (cc[j] + cp[j]);
         bias += config_.alpha * cc[j] * cp[j];
@@ -168,7 +175,6 @@ void Pup::Fit(const data::Dataset& dataset,
   }
   scorer_ = models::DotScorer(std::move(user_vecs), std::move(item_vecs),
                               std::move(item_bias));
-  dataset_ = nullptr;
 }
 
 ag::Tensor Pup::Propagate(const Branch& branch, bool training) {
@@ -235,7 +241,6 @@ train::TrainableState Pup::State() {
 train::BprTrainable::BatchGraph Pup::ForwardBatch(
     const std::vector<uint32_t>& users, const std::vector<uint32_t>& pos_items,
     const std::vector<uint32_t>& neg_items, bool training) {
-  PUP_CHECK(dataset_ != nullptr);
   const size_t b = users.size();
   // NOLINTNEXTLINE(pup-hot-transitive): member scratch sized to the batch; capacity is retained across steps.
   user_nodes_.resize(b);
@@ -250,16 +255,12 @@ train::BprTrainable::BatchGraph Pup::ForwardBatch(
     pos_nodes_[k] = graph_->ItemNode(pos_items[k]);
     neg_nodes_[k] = graph_->ItemNode(neg_items[k]);
     if (config_.use_category) {
-      pos_cats_[k] =
-          graph_->CategoryNode(dataset_->item_category[pos_items[k]]);
-      neg_cats_[k] =
-          graph_->CategoryNode(dataset_->item_category[neg_items[k]]);
+      pos_cats_[k] = item_category_nodes_[pos_items[k]];
+      neg_cats_[k] = item_category_nodes_[neg_items[k]];
     }
     if (config_.use_price) {
-      pos_prices_[k] =
-          graph_->PriceNode(dataset_->item_price_level[pos_items[k]]);
-      neg_prices_[k] =
-          graph_->PriceNode(dataset_->item_price_level[neg_items[k]]);
+      pos_prices_[k] = item_price_nodes_[pos_items[k]];
+      neg_prices_[k] = item_price_nodes_[neg_items[k]];
     }
   }
 
@@ -290,22 +291,6 @@ train::BprTrainable::BatchGraph Pup::ForwardBatch(
     batch.l2_terms.push_back(ag::Gather(category_.emb, pos_prices_));  // NOLINT(pup-hot-transitive): <= #fields terms.
   }
   return batch;
-}
-
-la::Matrix Pup::GlobalPriceEmbeddings() const {
-  if (!config_.use_price || graph_ == nullptr) return {};
-  // Recompute a clean single propagation of the global branch (analysis
-  // helper; uses one layer regardless of num_layers).
-  la::Matrix conv;
-  la::Spmm(graph_->adjacency(), global_.emb->value, &conv);
-  la::Matrix propagated;
-  la::Tanh(conv, &propagated);
-  la::Matrix out(num_price_levels_, global_.dim);
-  for (uint32_t p = 0; p < num_price_levels_; ++p) {
-    const float* src = propagated.Row(graph_->PriceNode(p));
-    std::copy(src, src + global_.dim, out.Row(p));
-  }
-  return out;
 }
 
 }  // namespace pup::core

@@ -99,10 +99,11 @@ class Pup : public models::Recommender, public train::BprTrainable {
 
   const PupConfig& config() const { return config_; }
 
-  /// Propagated price-level embeddings of the global branch (the learned
-  /// "purchasing power" axis) — used by analysis examples. Only valid
-  /// after Fit; empty when use_price is false.
-  la::Matrix GlobalPriceEmbeddings() const;
+  /// Price-level rows of the global branch's eval-mode propagation, the
+  /// one Fit folds into the scorer (the learned "purchasing power" axis)
+  /// — used by analysis examples. Empty before Fit and when use_price is
+  /// false.
+  const la::Matrix& GlobalPriceEmbeddings() const { return global_price_emb_; }
 
  private:
   struct Branch {
@@ -127,13 +128,15 @@ class Pup : public models::Recommender, public train::BprTrainable {
                             const std::vector<uint32_t>& price_nodes);
 
   PupConfig config_;
-  const data::Dataset* dataset_ = nullptr;  // Valid during Fit.
   std::unique_ptr<graph::HeteroGraph> graph_;
+  // Each item's category and price node, built once by Fit; empty when
+  // the graph has no such nodes.
+  std::vector<uint32_t> item_category_nodes_, item_price_nodes_;
   Branch global_;
   Branch category_;  // Unused when !two_branch.
   Rng dropout_rng_{0};
   models::DotScorer scorer_;
-  size_t num_price_levels_ = 0;
+  la::Matrix global_price_emb_;  // (num_price_levels, global dim)
 
   // Per-batch node-index scratch, reused across steps (ForwardBatch
   // resizes; entries for disabled node types are never read).

@@ -28,26 +28,12 @@ train::TrainableState BprMf::State() {
 train::BprTrainable::BatchGraph BprMf::ForwardBatch(
     const std::vector<uint32_t>& users, const std::vector<uint32_t>& pos_items,
     const std::vector<uint32_t>& neg_items, bool /*training*/) {
-  ag::Tensor u = ag::Gather(user_emb_, users);
-  ag::Tensor p = ag::Gather(item_emb_, pos_items);
-  ag::Tensor n = ag::Gather(item_emb_, neg_items);
   BatchGraph batch;
-  batch.pos_scores = ag::RowDot(u, p);
-  batch.neg_scores = ag::RowDot(u, n);
-  batch.l2_terms = {u, p, n};
+  batch.user = ag::Gather(user_emb_, users);
+  batch.pos = ag::Gather(item_emb_, pos_items);
+  batch.neg = ag::Gather(item_emb_, neg_items);
+  batch.l2_terms = {batch.user, batch.pos, batch.neg};
   return batch;
-}
-
-train::BprTrainable::BatchLossGraph BprMf::ForwardBatchLoss(
-    const std::vector<uint32_t>& users, const std::vector<uint32_t>& pos_items,
-    const std::vector<uint32_t>& neg_items, bool /*training*/) {
-  ag::Tensor u = ag::Gather(user_emb_, users);
-  ag::Tensor p = ag::Gather(item_emb_, pos_items);
-  ag::Tensor n = ag::Gather(item_emb_, neg_items);
-  BatchLossGraph graph;
-  graph.loss = ag::RowDotSigmoidBpr(u, p, n);
-  graph.l2_terms = {u, p, n};
-  return graph;
 }
 
 }  // namespace pup::models

@@ -41,12 +41,6 @@ class BprMf : public Recommender, public train::BprTrainable {
                           const std::vector<uint32_t>& pos_items,
                           const std::vector<uint32_t>& neg_items,
                           bool training) override;
-  /// Fused training head: one RowDotSigmoidBpr node instead of two RowDots
-  /// plus BprLoss; bitwise-identical trajectory.
-  BatchLossGraph ForwardBatchLoss(const std::vector<uint32_t>& users,
-                                  const std::vector<uint32_t>& pos_items,
-                                  const std::vector<uint32_t>& neg_items,
-                                  bool training) override;
 
  private:
   BprMfConfig config_;

@@ -35,10 +35,8 @@ void DeepFm::Fit(const data::Dataset& dataset,
   w3_ = he(h2, 1);
   b3_ = ag::Param(la::Matrix(1, 1));
 
-  dataset_ = &dataset;
   train::TrainBpr(this, dataset, train, config_.train);
-  dataset_ = nullptr;
-  BuildFmScorer(dataset);
+  BuildFmScorer();
 
   // --- Inference cache: factorize the first layer by field. ---
   // Row blocks of w1_: [user | item | category | price], d rows each.
@@ -68,8 +66,8 @@ void DeepFm::Fit(const data::Dataset& dataset,
       price_vecs(dataset.num_items, d);
   for (uint32_t i = 0; i < dataset.num_items; ++i) {
     const float* ei = emb.Row(ItemFeature(i));
-    const float* ec = emb.Row(CategoryFeature(dataset.item_category[i]));
-    const float* ep = emb.Row(PriceFeature(dataset.item_price_level[i]));
+    const float* ec = emb.Row(item_category_feature_[i]);
+    const float* ep = emb.Row(item_price_feature_[i]);
     std::copy(ei, ei + d, item_vecs.Row(i));
     std::copy(ec, ec + d, cat_vecs.Row(i));
     std::copy(ep, ep + d, price_vecs.Row(i));

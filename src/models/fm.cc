@@ -12,10 +12,17 @@ void Fm::InitializeFm(const data::Dataset& dataset, Rng* rng) {
                 "FM needs quantized price levels");
   num_users_ = dataset.num_users;
   num_items_ = dataset.num_items;
-  num_categories_ = dataset.num_categories;
-  const size_t num_features = dataset.num_users + dataset.num_items +
-                              dataset.num_categories +
-                              dataset.num_price_levels;
+  const auto first_category =
+      static_cast<uint32_t>(dataset.num_users + dataset.num_items);
+  const auto first_price =
+      static_cast<uint32_t>(first_category + dataset.num_categories);
+  item_category_feature_.resize(dataset.num_items);
+  item_price_feature_.resize(dataset.num_items);
+  for (size_t i = 0; i < dataset.num_items; ++i) {
+    item_category_feature_[i] = first_category + dataset.item_category[i];
+    item_price_feature_[i] = first_price + dataset.item_price_level[i];
+  }
+  const size_t num_features = first_price + dataset.num_price_levels;
   feature_emb_ = ag::Param(la::Matrix::Gaussian(
       num_features, config_.embedding_dim, config_.init_stddev, rng));
   feature_bias_ = ag::Param(la::Matrix(num_features, 1));
@@ -25,13 +32,11 @@ void Fm::Fit(const data::Dataset& dataset,
              const std::vector<data::Interaction>& train) {
   Rng rng(config_.train.seed);
   InitializeFm(dataset, &rng);
-  dataset_ = &dataset;
   train::TrainBpr(this, dataset, train, config_.train);
-  dataset_ = nullptr;
-  BuildFmScorer(dataset);
+  BuildFmScorer();
 }
 
-void Fm::BuildFmScorer(const data::Dataset& dataset) {
+void Fm::BuildFmScorer() {
   // Fold per-item constants into a DotScorer:
   //   score(u, i) = e_u · (e_i + e_c + e_p)
   //               + (e_i·e_c + e_i·e_p + e_c·e_p) + b_i + b_c + b_p.
@@ -39,17 +44,17 @@ void Fm::BuildFmScorer(const data::Dataset& dataset) {
   const auto& emb = feature_emb_->value;
   const auto& bias = feature_bias_->value;
   const size_t d = config_.embedding_dim;
-  la::Matrix user_vecs(dataset.num_users, d);
-  for (size_t u = 0; u < dataset.num_users; ++u) {
+  la::Matrix user_vecs(num_users_, d);
+  for (size_t u = 0; u < num_users_; ++u) {
     const float* src = emb.Row(UserFeature(static_cast<uint32_t>(u)));
     std::copy(src, src + d, user_vecs.Row(u));
   }
-  la::Matrix item_vecs(dataset.num_items, d);
-  std::vector<float> item_bias(dataset.num_items, 0.0f);
-  for (uint32_t i = 0; i < dataset.num_items; ++i) {
+  la::Matrix item_vecs(num_items_, d);
+  std::vector<float> item_bias(num_items_, 0.0f);
+  for (uint32_t i = 0; i < num_items_; ++i) {
     const float* ei = emb.Row(ItemFeature(i));
-    const float* ec = emb.Row(CategoryFeature(dataset.item_category[i]));
-    const float* ep = emb.Row(PriceFeature(dataset.item_price_level[i]));
+    const float* ec = emb.Row(item_category_feature_[i]);
+    const float* ep = emb.Row(item_price_feature_[i]);
     float* dst = item_vecs.Row(i);
     float ic = 0.0f, ip = 0.0f, cp = 0.0f;
     for (size_t j = 0; j < d; ++j) {
@@ -59,8 +64,8 @@ void Fm::BuildFmScorer(const data::Dataset& dataset) {
       cp += ec[j] * ep[j];
     }
     item_bias[i] = ic + ip + cp + bias(ItemFeature(i), 0) +
-                   bias(CategoryFeature(dataset.item_category[i]), 0) +
-                   bias(PriceFeature(dataset.item_price_level[i]), 0);
+                   bias(item_category_feature_[i], 0) +
+                   bias(item_price_feature_[i], 0);
   }
   scorer_ = DotScorer(std::move(user_vecs), std::move(item_vecs),
                       std::move(item_bias));
@@ -80,7 +85,6 @@ ag::Tensor Fm::ScoreBatch(const std::vector<uint32_t>& users,
                           const std::vector<uint32_t>& items,
                           std::vector<ag::Tensor>* l2_terms,
                           FieldEmbeddings* fields) {
-  PUP_CHECK(dataset_ != nullptr);
   // NOLINTNEXTLINE(pup-hot-transitive): member scratch sized to the batch; capacity is retained across steps.
   f_user_.resize(users.size());
   f_item_.resize(items.size());  // NOLINT(pup-hot-transitive): see above.
@@ -89,8 +93,8 @@ ag::Tensor Fm::ScoreBatch(const std::vector<uint32_t>& users,
   for (size_t k = 0; k < users.size(); ++k) {
     f_user_[k] = UserFeature(users[k]);
     f_item_[k] = ItemFeature(items[k]);
-    f_cat_[k] = CategoryFeature(dataset_->item_category[items[k]]);
-    f_price_[k] = PriceFeature(dataset_->item_price_level[items[k]]);
+    f_cat_[k] = item_category_feature_[items[k]];
+    f_price_[k] = item_price_feature_[items[k]];
   }
   ag::Tensor eu = ag::Gather(feature_emb_, f_user_);
   ag::Tensor ei = ag::Gather(feature_emb_, f_item_);

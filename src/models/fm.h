@@ -55,11 +55,12 @@ class Fm : public Recommender, public train::BprTrainable {
     ag::Tensor user, item, category, price;
   };
 
-  /// Allocates the shared feature embedding/bias tables for `dataset`.
+  /// Allocates the shared feature embedding/bias tables for `dataset`
+  /// and maps each item to its category and price features.
   void InitializeFm(const data::Dataset& dataset, Rng* rng);
 
   /// Precomputes the inference DotScorer from the trained tables.
-  void BuildFmScorer(const data::Dataset& dataset);
+  void BuildFmScorer();
 
   /// Differentiable FM score for a batch of (user, item) pairs. If
   /// `fields` is non-null it receives the gathered field embeddings
@@ -69,24 +70,17 @@ class Fm : public Recommender, public train::BprTrainable {
                         std::vector<ag::Tensor>* l2_terms,
                         FieldEmbeddings* fields = nullptr);
 
-  // Feature-space offsets.
+  // Feature space: [users | items | categories | price levels].
   uint32_t UserFeature(uint32_t u) const { return u; }
   uint32_t ItemFeature(uint32_t i) const {
     return static_cast<uint32_t>(num_users_) + i;
-  }
-  uint32_t CategoryFeature(uint32_t c) const {
-    return static_cast<uint32_t>(num_users_ + num_items_) + c;
-  }
-  uint32_t PriceFeature(uint32_t p) const {
-    return static_cast<uint32_t>(num_users_ + num_items_ + num_categories_) +
-           p;
   }
 
   FmConfig config_;
   size_t num_users_ = 0;
   size_t num_items_ = 0;
-  size_t num_categories_ = 0;
-  const data::Dataset* dataset_ = nullptr;  // Valid during Fit only.
+  // Category and price feature of each item, built once by InitializeFm.
+  std::vector<uint32_t> item_category_feature_, item_price_feature_;
   ag::Tensor feature_emb_;   // (#features, d)
   ag::Tensor feature_bias_;  // (#features, 1)
   DotScorer scorer_;

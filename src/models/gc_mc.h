@@ -11,12 +11,7 @@
 // bilinear decoder to a dot product.
 #pragma once
 
-#include <memory>
-
-#include "autograd/tensor.h"
-#include "graph/hetero_graph.h"
-#include "models/recommender.h"
-#include "models/scoring.h"
+#include "models/user_item_gcn.h"
 #include "train/trainer.h"
 
 namespace pup::models {
@@ -32,7 +27,7 @@ struct GcMcConfig {
 };
 
 /// One-layer GCN on the bipartite graph with a dot decoder, BPR-trained.
-class GcMc : public Recommender, public train::BprTrainable {
+class GcMc : public UserItemGcn {
  public:
   explicit GcMc(GcMcConfig config = {}) : config_(std::move(config)) {}
 
@@ -41,43 +36,15 @@ class GcMc : public Recommender, public train::BprTrainable {
   void Fit(const data::Dataset& dataset,
            const std::vector<data::Interaction>& train) override;
 
-  void ScoreItems(uint32_t user, std::vector<float>* out) const override;
-
-  const DotScorer* ExportScorer() const override {
-    return scorer_.initialized() ? &scorer_ : nullptr;
-  }
-
   /// Node embeddings and W, plus the dropout stream.
   train::TrainableState State() override;
-  BatchGraph ForwardBatch(const std::vector<uint32_t>& users,
-                          const std::vector<uint32_t>& pos_items,
-                          const std::vector<uint32_t>& neg_items,
-                          bool training) override;
-  /// Fused training head (RowDotSigmoidBpr); bitwise-identical trajectory.
-  BatchLossGraph ForwardBatchLoss(const std::vector<uint32_t>& users,
-                                  const std::vector<uint32_t>& pos_items,
-                                  const std::vector<uint32_t>& neg_items,
-                                  bool training) override;
 
  private:
   /// Propagated node representations (num_nodes, d).
-  ag::Tensor Propagate(bool training);
-
-  /// Maps a batch of user/item ids to graph node ids in the member
-  /// scratch vectors (reused across steps).
-  void BuildBatchNodes(const std::vector<uint32_t>& users,
-                       const std::vector<uint32_t>& pos_items,
-                       const std::vector<uint32_t>& neg_items);
+  ag::Tensor Propagate(bool training) override;
 
   GcMcConfig config_;
-  std::unique_ptr<graph::HeteroGraph> graph_;
-  ag::Tensor node_emb_;  // (num_nodes, d)
-  ag::Tensor weight_;    // (d, d)
-  Rng dropout_rng_{0};
-  DotScorer scorer_;
-
-  // Per-batch node-index scratch, reused across steps.
-  std::vector<uint32_t> user_nodes_, pos_nodes_, neg_nodes_;
+  ag::Tensor weight_;  // (d, d)
 };
 
 }  // namespace pup::models

@@ -271,8 +271,17 @@ BprTrainable::BatchLossGraph BprTrainable::ForwardBatchLoss(
     const std::vector<uint32_t>& users, const std::vector<uint32_t>& pos_items,
     const std::vector<uint32_t>& neg_items, bool training) {
   BatchGraph batch = ForwardBatch(users, pos_items, neg_items, training);
+  const bool row_dot = batch.user && batch.pos && batch.neg;
+  const bool scores = batch.pos_scores && batch.neg_scores;
+  const bool any_row_dot = batch.user || batch.pos || batch.neg;
+  const bool any_scores = batch.pos_scores || batch.neg_scores;
+  PUP_CHECK_MSG((row_dot && !any_scores) || (scores && !any_row_dot),
+                "ForwardBatch must set exactly one of {user, pos, neg} and "
+                "{pos_scores, neg_scores}");
   BatchLossGraph graph;
-  graph.loss = ag::BprLoss(batch.pos_scores, batch.neg_scores);
+  graph.loss = row_dot
+                   ? ag::RowDotSigmoidBpr(batch.user, batch.pos, batch.neg)
+                   : ag::BprLoss(batch.pos_scores, batch.neg_scores);
   graph.l2_terms = std::move(batch.l2_terms);
   return graph;
 }

@@ -109,8 +109,9 @@ struct TrainableState {
   Rng* dropout_rng = nullptr;
 };
 
-/// A model trainable with BPR: names its trainable state and builds the
-/// differentiable score graph for one (users, positives, negatives) batch.
+/// A model trainable with BPR: names its trainable state and writes its
+/// one differentiable forward for a (users, positives, negatives) batch.
+/// The trainer applies the BPR head (eq. 4) to what the forward returns.
 class BprTrainable {
  public:
   virtual ~BprTrainable() = default;
@@ -122,14 +123,23 @@ class BprTrainable {
   /// The tensors of State(), in order (for the optimizer).
   std::vector<ag::Tensor> Parameters();
 
-  /// Differentiable outputs for one batch.
+  /// Differentiable outputs for one batch, in one of two shapes. A model
+  /// whose score is a row dot s(u, i) = ⟨user, item⟩ sets `user`, `pos`
+  /// and `neg`; every other model sets `pos_scores` and `neg_scores`.
   struct BatchGraph {
+    ag::Tensor user;        // (B, d)
+    ag::Tensor pos;         // (B, d)
+    ag::Tensor neg;         // (B, d)
     ag::Tensor pos_scores;  // (B, 1)
     ag::Tensor neg_scores;  // (B, 1)
     /// Tensors whose squared norm is L2-regularized (typically the raw
     /// embeddings gathered for this batch). May be empty.
     std::vector<ag::Tensor> l2_terms;
   };
+
+  /// The model's forward, the only one it writes. Training calls it, and
+  /// so may a caller of a fitted model (training = false), e.g. to check
+  /// that the folded scorer matches it.
   virtual BatchGraph ForwardBatch(const std::vector<uint32_t>& users,
                                   const std::vector<uint32_t>& pos_items,
                                   const std::vector<uint32_t>& neg_items,
@@ -142,10 +152,11 @@ class BprTrainable {
     std::vector<ag::Tensor> l2_terms;
   };
 
-  /// Builds the batch loss graph. The default composes
-  /// ForwardBatch + ag::BprLoss; models whose scores are plain row dots
-  /// override it with the fused ag::RowDotSigmoidBpr head (bitwise-equal,
-  /// fewer tape nodes and intermediates).
+  /// ForwardBatch plus the BPR head: the fused ag::RowDotSigmoidBpr for a
+  /// row-dot batch, ag::BprLoss for a scores batch. Dies unless the batch
+  /// sets exactly one of the two shapes. No model overrides it; it is
+  /// virtual only so the benchmark's step clock (bench_ledger) can stamp
+  /// each training step.
   virtual BatchLossGraph ForwardBatchLoss(const std::vector<uint32_t>& users,
                                           const std::vector<uint32_t>& pos_items,
                                           const std::vector<uint32_t>& neg_items,

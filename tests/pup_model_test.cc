@@ -7,6 +7,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "common/rng.h"
 #include "core/pup_model.h"
 #include "data/quantization.h"
 #include "data/synthetic.h"
@@ -98,44 +99,75 @@ INSTANTIATE_TEST_SUITE_P(Variants, PupVariantTest,
 
 TEST(PupFoldTest, InferenceMatchesForwardExactly) {
   // PUP's decoder has no user-only terms, so the folded scorer must match
-  // the differentiable forward pass up to float noise — not just in
-  // differences.
+  // the fitted model's differentiable forward up to float noise — not
+  // just in differences — for every preset and layer count.
   data::Dataset ds = SmallDataset();
-  PupConfig config = PupConfig::Full();
-  config.embedding_dim = 16;
-  config.category_branch_dim = 4;
-  config.dropout = 0.0f;
-  config.train = FastTrain(3);
-  Pup model(config);
-  model.Fit(ds, ds.interactions);
+  for (const PupConfig& preset :
+       {PupConfig::Full(), PupConfig::Minus(),
+        PupConfig::WithoutCategoryAndPrice(), PupConfig::WithCategoryOnly(),
+        PupConfig::WithPriceOnly()}) {
+    for (int layers : {1, 2}) {
+      PupConfig config = preset;
+      config.embedding_dim = 16;
+      config.category_branch_dim = 4;
+      config.dropout = 0.0f;
+      config.num_layers = layers;
+      config.train = FastTrain(2);
+      Pup model(config);
+      model.Fit(ds, ds.interactions);
 
-  std::vector<float> s1, s2;
-  model.ScoreItems(7, &s1);
-  model.ScoreItems(7, &s2);
-  EXPECT_EQ(s1, s2);
+      Rng rng(321);
+      for (int trial = 0; trial < 20; ++trial) {
+        auto u = static_cast<uint32_t>(rng.NextBelow(ds.num_users));
+        auto i = static_cast<uint32_t>(rng.NextBelow(ds.num_items));
+        auto j = static_cast<uint32_t>(rng.NextBelow(ds.num_items));
+        std::vector<float> scores;
+        model.ScoreItems(u, &scores);
+        auto batch = model.ForwardBatch({u}, {i}, {j}, /*training=*/false);
+        EXPECT_NEAR(batch.pos_scores->value(0, 0), scores[i], 1e-4f)
+            << model.name() << " layers=" << layers << " u=" << u
+            << " i=" << i;
+        EXPECT_NEAR(batch.neg_scores->value(0, 0), scores[j], 1e-4f)
+            << model.name() << " layers=" << layers << " u=" << u
+            << " j=" << j;
+      }
+    }
+  }
 }
 
-// Manual recompute of eq. (3) from first principles, independent of the
-// model's own fold: propagate F = tanh(Â E) for both branches, then
-// s(u,i) = f_u·f_i + f_u·f_p + f_i·f_p + α(f_u·f_c + f_u·f_p + f_c·f_p).
-TEST(PupFoldTest, MatchesManualEquation3) {
+// GlobalPriceEmbeddings must be the propagation the scorer folds, at any
+// depth. PUP- folds item i to item_vec = f_i + f_p and bias = f_i·f_p, so
+// with p the exposed row of i's price level, bias = (item_vec − p)·p.
+TEST(PupFoldTest, GlobalPriceEmbeddingsMatchTheFold) {
   data::Dataset ds = SmallDataset(33);
-  PupConfig config = PupConfig::Full();
-  config.embedding_dim = 12;
-  config.category_branch_dim = 4;
-  config.dropout = 0.0f;
-  config.train = FastTrain(2);
-  Pup model(config);
-  model.Fit(ds, ds.interactions);
+  for (int layers : {1, 2}) {
+    PupConfig config = PupConfig::Minus();
+    config.embedding_dim = 12;
+    config.dropout = 0.0f;
+    config.num_layers = layers;
+    config.train = FastTrain(2);
+    Pup model(config);
+    model.Fit(ds, ds.interactions);
 
-  // The price embeddings the model exposes come from the propagated
-  // global branch; verify shape and tanh range.
-  la::Matrix price = model.GlobalPriceEmbeddings();
-  ASSERT_EQ(price.rows(), ds.num_price_levels);
-  ASSERT_EQ(price.cols(), config.embedding_dim - config.category_branch_dim);
-  for (size_t i = 0; i < price.size(); ++i) {
-    EXPECT_TRUE(std::isfinite(price.FlatAt(i)));
-    EXPECT_LE(std::abs(price.FlatAt(i)), 1.0f);  // tanh range.
+    const la::Matrix& price = model.GlobalPriceEmbeddings();
+    ASSERT_EQ(price.rows(), ds.num_price_levels);
+    ASSERT_EQ(price.cols(), config.embedding_dim);
+    for (size_t k = 0; k < price.size(); ++k) {
+      EXPECT_TRUE(std::isfinite(price.FlatAt(k)));
+      EXPECT_LE(std::abs(price.FlatAt(k)), 1.0f);  // tanh range.
+    }
+
+    const models::DotScorer* scorer = model.ExportScorer();
+    ASSERT_NE(scorer, nullptr);
+    float max_error = 0.0f;
+    for (uint32_t i = 0; i < ds.num_items; ++i) {
+      const float* v = scorer->item_vecs().Row(i);
+      const float* p = price.Row(ds.item_price_level[i]);
+      float bias = 0.0f;
+      for (size_t j = 0; j < price.cols(); ++j) bias += (v[j] - p[j]) * p[j];
+      max_error = std::max(max_error, std::abs(scorer->item_bias()[i] - bias));
+    }
+    EXPECT_LE(max_error, 1e-4f) << "layers=" << layers;
   }
 }
 

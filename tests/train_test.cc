@@ -330,5 +330,63 @@ TEST(TrainerTest, FailedCheckpointSavesAreCountedAndTrainingContinues) {
   std::filesystem::remove(not_a_dir);
 }
 
+// A BprTrainable whose forward returns the batch the test set.
+class FixedBatch : public BprTrainable {
+ public:
+  TrainableState State() override { return {}; }
+  BatchGraph ForwardBatch(const std::vector<uint32_t>&,
+                          const std::vector<uint32_t>&,
+                          const std::vector<uint32_t>&, bool) override {
+    return batch;
+  }
+
+  BatchGraph batch;
+};
+
+void ExpectBitwiseEqual(const la::Matrix& a, const la::Matrix& b) {
+  ASSERT_TRUE(a.SameShape(b));
+  for (size_t k = 0; k < a.size(); ++k) EXPECT_EQ(a.FlatAt(k), b.FlatAt(k));
+}
+
+// The trainer picks the head from the batch's shape: the fused row-dot
+// head for (user, pos, neg), BprLoss for (pos_scores, neg_scores), and
+// nothing else.
+TEST(TrainerTest, ForwardBatchLossAppliesTheHeadTheBatchSets) {
+  Rng rng(41);
+  const la::Matrix mu = la::Matrix::Gaussian(6, 5, 0.7f, &rng);
+  const la::Matrix mp = la::Matrix::Gaussian(6, 5, 0.7f, &rng);
+  const la::Matrix mn = la::Matrix::Gaussian(6, 5, 0.7f, &rng);
+
+  ag::Tensor u = ag::Param(mu), p = ag::Param(mp), n = ag::Param(mn);
+  FixedBatch model;
+  model.batch.user = u;
+  model.batch.pos = p;
+  model.batch.neg = n;
+  ag::Tensor fused = model.ForwardBatchLoss({}, {}, {}, true).loss;
+  EXPECT_STREQ(fused->op_name, "row_dot_sigmoid_bpr");
+  ag::Backward(fused);
+
+  ag::Tensor ru = ag::Param(mu), rp = ag::Param(mp), rn = ag::Param(mn);
+  ag::Tensor reference =
+      ag::BprLoss(ag::RowDot(ru, rp), ag::RowDot(ru, rn));
+  ag::Backward(reference);
+  EXPECT_EQ(fused->value(0, 0), reference->value(0, 0));
+  ExpectBitwiseEqual(u->grad, ru->grad);
+  ExpectBitwiseEqual(p->grad, rp->grad);
+  ExpectBitwiseEqual(n->grad, rn->grad);
+
+  // Both shapes set.
+  model.batch.pos_scores = ag::RowDot(ru, rp);
+  model.batch.neg_scores = ag::RowDot(ru, rn);
+  EXPECT_DEATH(model.ForwardBatchLoss({}, {}, {}, true), "exactly one");
+
+  model.batch.user = model.batch.pos = model.batch.neg = nullptr;
+  EXPECT_STREQ(model.ForwardBatchLoss({}, {}, {}, true).loss->op_name,
+               "bpr_loss");
+
+  model.batch = {};  // Neither shape set.
+  EXPECT_DEATH(model.ForwardBatchLoss({}, {}, {}, true), "exactly one");
+}
+
 }  // namespace
 }  // namespace pup::train
