@@ -26,6 +26,7 @@
 #include "models/fm.h"
 #include "models/gc_mc.h"
 #include "models/ngcf.h"
+#include "serve/index.h"
 #include "tiny_mf.h"
 #include "train/trainer.h"
 
@@ -273,6 +274,36 @@ TEST(CkptFormatTest, AtomicWriteKeepsPreviousFileOnOverwrite) {
   EXPECT_EQ(reader->GetU64("meta/epochs").value(), 2u);
   // No stray tmp file left behind.
   EXPECT_FALSE(fs::exists(path + ".tmp"));
+}
+
+// A matrix section starts with u64 rows and u64 cols. rows = cols = 2^32
+// multiply to 0 in u64, so a size check on the product lets the header
+// through and the parser copies 2^32 rows into an empty matrix. The CRCs
+// are valid, so only the shape check stands between the file and a crash.
+TEST(CkptFormatTest, MatrixSectionWhoseShapeOverflowsIsRejected) {
+  const std::string dir = FreshDir("shape_overflow");
+  const uint64_t shape[2] = {uint64_t{1} << 32, uint64_t{1} << 32};
+  const std::string header(reinterpret_cast<const char*>(shape),
+                           sizeof(shape));
+
+  const std::string path = dir + "/a.pupc";
+  ckpt::Writer writer(TestFingerprint());
+  writer.AddBytes("model/emb", header);
+  ASSERT_TRUE(writer.WriteFile(path).ok());
+  auto reader = ckpt::Reader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_EQ(reader->GetMatrix("model/emb").status().code(),
+            StatusCode::kInvalidArgument);
+
+  // The same header as the user table of a serving index.
+  const std::string index_path = dir + "/index.pupc";
+  ckpt::Writer index(TestFingerprint());
+  index.AddU64("serve/format", 1);
+  index.AddString("serve/model", "pup");
+  index.AddBytes("serve/users", header);
+  ASSERT_TRUE(index.WriteFile(index_path).ok());
+  EXPECT_EQ(serve::ServingIndex::Load(index_path).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(CkptFormatTest, OptimizerStateRoundTrip) {
