@@ -11,6 +11,7 @@
 // Build & run:  ./build/examples/csv_pipeline
 #include <cstdio>
 
+#include "ckpt/checkpoint.h"
 #include "common/check.h"
 #include "common/flags.h"
 #include "obs/export.h"
@@ -20,7 +21,6 @@
 #include "data/quantization.h"
 #include "data/synthetic.h"
 #include "eval/metrics.h"
-#include "la/io.h"
 #include "models/scoring.h"
 
 int main(int argc, char** argv) {
@@ -77,10 +77,16 @@ int main(int argc, char** argv) {
   // Rebuild the user/item matrices from the model's scorer by probing it:
   // in a real deployment you would expose them directly; here we persist
   // the propagated price embeddings as a demo artifact and re-derive the
-  // score table for a handful of users.
-  la::Matrix price_emb = model.GlobalPriceEmbeddings();
-  PUP_CHECK(la::WriteMatrix(price_emb, dir + "/pup_demo_price_emb.bin").ok());
-  auto reread = la::ReadMatrix(dir + "/pup_demo_price_emb.bin");
+  // score table for a handful of users. A pup::ckpt file carries a CRC
+  // per section and is written atomically.
+  constexpr char kPriceSection[] = "demo/price_emb";
+  const std::string snapshot = dir + "/pup_demo_price_emb.pupc";
+  ckpt::Writer writer(ckpt::DatasetFingerprint::Of(dataset));
+  writer.AddMatrix(kPriceSection, model.GlobalPriceEmbeddings());
+  PUP_CHECK(writer.WriteFile(snapshot).ok());
+  auto reader = ckpt::Reader::Open(snapshot);
+  PUP_CHECK(reader.ok());
+  auto reread = reader->GetMatrix(kPriceSection);
   PUP_CHECK(reread.ok());
   PUP_CHECK(reread->rows() == dataset.num_price_levels);
   std::printf("price-embedding snapshot round-trips: %zux%zu floats\n",
@@ -98,6 +104,6 @@ int main(int argc, char** argv) {
 
   std::remove((dir + "/pup_demo_items.csv").c_str());
   std::remove((dir + "/pup_demo_interactions.csv").c_str());
-  std::remove((dir + "/pup_demo_price_emb.bin").c_str());
+  std::remove(snapshot.c_str());
   return 0;
 }

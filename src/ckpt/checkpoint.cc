@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "common/check.h"
-#include "la/io.h"
 #include "obs/registry.h"
 
 namespace pup::ckpt {
@@ -56,6 +55,46 @@ const uint32_t* Crc32Table() {
     return t;
   }();
   return table;
+}
+
+// A matrix section is u64 rows, u64 cols, then rows*cols float32, all
+// dense row-major over the LOGICAL elements: the padded leading
+// dimension (matrix.h) is an in-memory layout detail, so the bytes do not
+// depend on the stride.
+void AppendMatrixBytes(const la::Matrix& m, std::string* out) {
+  AppendPod(out, static_cast<uint64_t>(m.rows()));
+  AppendPod(out, static_cast<uint64_t>(m.cols()));
+  for (size_t r = 0; r < m.rows(); ++r) {
+    out->append(reinterpret_cast<const char*>(m.Row(r)),
+                m.cols() * sizeof(float));
+  }
+}
+
+Result<la::Matrix> ParseMatrixBytes(const std::string& buf, size_t* offset) {
+  uint64_t rows = 0, cols = 0;
+  if (*offset + 2 * sizeof(uint64_t) > buf.size()) {
+    return Status::OutOfRange("matrix header past end of buffer");
+  }
+  std::memcpy(&rows, buf.data() + *offset, sizeof(rows));
+  std::memcpy(&cols, buf.data() + *offset + sizeof(rows), sizeof(cols));
+  const size_t pos = *offset + 2 * sizeof(uint64_t);
+  // Divide instead of multiplying: rows * cols wraps in u64 (2^32 x 2^32
+  // is 0), and a wrapped count would pass both size checks.
+  constexpr uint64_t kMaxElements = 1ull << 32;
+  if (cols != 0 && rows > kMaxElements / cols) {
+    return Status::InvalidArgument("matrix too large in serialized header");
+  }
+  const size_t bytes = static_cast<size_t>(rows * cols) * sizeof(float);
+  if (pos + bytes > buf.size()) {
+    return Status::OutOfRange("matrix data past end of buffer (truncated?)");
+  }
+  la::Matrix m(static_cast<size_t>(rows), static_cast<size_t>(cols));
+  const size_t row_bytes = m.cols() * sizeof(float);
+  for (size_t r = 0; r < m.rows(); ++r) {
+    std::memcpy(m.Row(r), buf.data() + pos + r * row_bytes, row_bytes);
+  }
+  *offset = pos + bytes;
+  return m;
 }
 
 // FNV-1a 64-bit over a POD value, continuing from `h`.
@@ -116,7 +155,7 @@ void Writer::AddBytes(const std::string& name, std::string payload) {
 void Writer::AddMatrix(const std::string& name, const la::Matrix& m) {
   std::string payload;
   payload.reserve(2 * sizeof(uint64_t) + m.size() * sizeof(float));
-  la::AppendMatrixBytes(m, &payload);
+  AppendMatrixBytes(m, &payload);
   AddBytes(name, std::move(payload));
 }
 
@@ -312,7 +351,7 @@ Result<const std::string*> Reader::Section(const std::string& name) const {
 Result<la::Matrix> Reader::GetMatrix(const std::string& name) const {
   PUP_ASSIGN_OR_RETURN(const std::string* payload, Section(name));
   size_t offset = 0;
-  PUP_ASSIGN_OR_RETURN(la::Matrix m, la::ParseMatrixBytes(*payload, &offset));
+  PUP_ASSIGN_OR_RETURN(la::Matrix m, ParseMatrixBytes(*payload, &offset));
   if (offset != payload->size()) {
     return Status::IOError("matrix section '" + name + "' has trailing bytes");
   }

@@ -1,17 +1,13 @@
-// Tests for the extension modules: ExtendedPup, value-aware re-ranking,
-// and binary matrix IO.
+// Tests for the extension modules: ExtendedPup and value-aware re-ranking.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <unistd.h>
 
 #include "core/extended_pup.h"
 #include "core/pup_model.h"
 #include "data/quantization.h"
 #include "data/synthetic.h"
 #include "eval/value_aware.h"
-#include "la/io.h"
 
 namespace pup {
 namespace {
@@ -171,63 +167,6 @@ TEST(ValueAwareTest, BetaTradesAccuracyForRevenue) {
       greedy, ds.num_users, ds.num_items, exclude, test_items, {50});
   // The adjusted ranking differs and typically trades recall away.
   EXPECT_NE(base_metrics.At(50).recall, greedy_metrics.At(50).recall);
-}
-
-// ------------------------------ Matrix IO ------------------------------
-
-TEST(MatrixIoTest, RoundTrip) {
-  Rng rng(3);
-  la::Matrix m = la::Matrix::Gaussian(17, 9, 1.0f, &rng);
-  std::string path = testing::TempDir() + "/pup_matrix.bin";
-  ASSERT_TRUE(la::WriteMatrix(m, path).ok());
-  auto loaded = la::ReadMatrix(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->rows(), m.rows());
-  ASSERT_EQ(loaded->cols(), m.cols());
-  for (size_t i = 0; i < m.size(); ++i) {
-    EXPECT_EQ(loaded->FlatAt(i), m.FlatAt(i));
-  }
-  std::remove(path.c_str());
-}
-
-TEST(MatrixIoTest, EmptyMatrixRoundTrip) {
-  la::Matrix m;
-  std::string path = testing::TempDir() + "/pup_empty.bin";
-  ASSERT_TRUE(la::WriteMatrix(m, path).ok());
-  auto loaded = la::ReadMatrix(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->rows(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(MatrixIoTest, MissingFileIsIOError) {
-  auto result = la::ReadMatrix("/nonexistent/m.bin");
-  EXPECT_EQ(result.status().code(), StatusCode::kIOError);
-}
-
-TEST(MatrixIoTest, BadMagicRejected) {
-  std::string path = testing::TempDir() + "/pup_notmatrix.bin";
-  {
-    FILE* f = fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    fputs("JUNKJUNKJUNKJUNKJUNKJUNK", f);
-    fclose(f);
-  }
-  auto result = la::ReadMatrix(path);
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
-}
-
-TEST(MatrixIoTest, TruncatedFileIsIOError) {
-  Rng rng(4);
-  la::Matrix m = la::Matrix::Gaussian(8, 8, 1.0f, &rng);
-  std::string path = testing::TempDir() + "/pup_trunc.bin";
-  ASSERT_TRUE(la::WriteMatrix(m, path).ok());
-  // Truncate the payload.
-  ASSERT_EQ(truncate(path.c_str(), 24), 0);
-  auto result = la::ReadMatrix(path);
-  EXPECT_EQ(result.status().code(), StatusCode::kIOError);
-  std::remove(path.c_str());
 }
 
 }  // namespace
