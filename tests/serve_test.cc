@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -23,9 +24,11 @@
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
+#include "core/pup_model.h"
 #include "data/quantization.h"
 #include "data/synthetic.h"
 #include "la/matrix.h"
+#include "models/bpr_mf.h"
 #include "models/scoring.h"
 #include "obs/registry.h"
 #include "serve/cache.h"
@@ -318,6 +321,68 @@ TEST(ServeParityTest, ServedTopKMatchesOfflineEvalBitwise) {
                          << " clients=" << cfg.client_threads
                          << " batch=" << cfg.max_batch
                          << " cache=" << cfg.cache;
+    }
+  }
+  simd::SetActiveIsa(simd::DetectBestIsa());
+}
+
+// Served ≡ eval for a fitted model itself, not only for an IndexScorer
+// over its frozen copy: the model's own ScoreItems (what the eval harness
+// ranks) and the frozen index score through the same kernel, so each
+// score is bitwise-equal on every backend, and the served top-K is the
+// reference ranking of the model's own scores. PUP folds an item bias
+// into its scorer; BPR-MF has none.
+TEST(ServeParityTest, FittedModelScoresEqualFrozenIndexScores) {
+  data::Dataset ds = SmallDataset();
+  const std::vector<std::vector<uint32_t>> exclude = ds.UserItemLists();
+  const uint32_t k = 10;
+
+  core::PupConfig pup_config = core::PupConfig::Full();
+  pup_config.train.epochs = 2;
+  core::Pup pup(pup_config);
+  models::BprMfConfig mf_config;
+  mf_config.train.epochs = 2;
+  models::BprMf mf(mf_config);
+
+  for (models::Recommender* model :
+       std::initializer_list<models::Recommender*>{&pup, &mf}) {
+    model->Fit(ds, ds.interactions);
+    const models::DotScorer* folded = model->ExportScorer();
+    ASSERT_NE(folded, nullptr) << model->name();
+    EXPECT_EQ(folded->item_bias().empty(), model == &mf) << model->name();
+    auto index = std::make_shared<const ServingIndex>(
+        ServingIndex::Freeze(*folded, ds, model->name()));
+    IndexScorer frozen(index.get());
+
+    for (simd::Isa isa :
+         {simd::Isa::kOff, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
+      if (!simd::IsaSupported(isa)) continue;
+      simd::SetActiveIsa(isa);
+      std::vector<Ranked> refs(ds.num_users);
+      std::vector<float> own, served;
+      size_t differing = 0;
+      for (uint32_t u = 0; u < ds.num_users; ++u) {
+        model->ScoreItems(u, &own);
+        frozen.ScoreItems(u, &served);
+        ASSERT_EQ(own.size(), served.size());
+        for (size_t i = 0; i < own.size(); ++i) {
+          differing += std::bit_cast<uint32_t>(own[i]) !=
+                       std::bit_cast<uint32_t>(served[i]);
+        }
+        refs[u] = ReferenceRank(own, k, &exclude[u]);
+      }
+      EXPECT_EQ(differing, 0u)
+          << model->name() << " isa=" << simd::IsaName(isa) << ": "
+          << differing << " of " << ds.num_users * ds.num_items
+          << " scores differ";
+
+      ServerOptions opt;
+      opt.max_batch = 8;
+      opt.batch_timeout_us = 50;
+      opt.max_k = k;
+      Server server(index, opt);
+      EXPECT_EQ(RunParityClients(&server, refs, exclude, k, 2, 1), 0u)
+          << model->name() << " isa=" << simd::IsaName(isa);
     }
   }
   simd::SetActiveIsa(simd::DetectBestIsa());
