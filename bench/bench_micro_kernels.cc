@@ -515,23 +515,6 @@ void BM_GemmTransBSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmTransBSimd)->Apply(SimdSweepArgs);
 
-void BM_GemvSimd(benchmark::State& state) {
-  const auto isa = static_cast<simd::Isa>(state.range(0));
-  ScopedIsa pin(isa);
-  constexpr size_t kRows = 4096, kD = 64;
-  la::Matrix a = RandomMatrix(kRows, kD, 7), x = RandomMatrix(kD, 1, 8), out;
-  Stopwatch timer;
-  size_t iters = 0;
-  for (auto _ : state) {
-    la::Gemv(a, x, &out);
-    benchmark::DoNotOptimize(out.data());
-    ++iters;
-  }
-  RecordSimdSweep(state, "gemv_4096x64", isa, timer.Seconds(), iters,
-                  2.0 * kRows * kD);
-}
-BENCHMARK(BM_GemvSimd)->Apply(SimdSweepArgs);
-
 void BM_AxpySimd(benchmark::State& state) {
   const auto isa = static_cast<simd::Isa>(state.range(0));
   ScopedIsa pin(isa);

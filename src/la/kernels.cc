@@ -157,9 +157,12 @@ void GemmTransB(const Matrix& a, const Matrix& b, Matrix* out) {
   const size_t m = a.rows(), k = a.cols(), n = b.rows();
   EnsureShapeNoZero(m, n, out);
   const simd::Backend& be = simd::Active();
+  // out.Row(i) dots every row of b with row i of a, held at stride 0.
   ParallelFor(0, m, RowGrain(k * n), [&](size_t lo, size_t hi) {
-    be.gemm_tb_rows(a.data(), a.stride(), b.data(), b.stride(), out->data(),
-                    out->stride(), lo, hi, k, n);
+    for (size_t i = lo; i < hi; ++i) {
+      be.dot_rows(b.data(), b.stride(), a.Row(i), 0, nullptr, out->Row(i), 0,
+                  n, k);
+    }
   });
 }
 
@@ -359,8 +362,8 @@ void RowDot(const Matrix& x, const Matrix& y, Matrix* out) {
   const size_t cols = x.cols();
   const simd::Backend& be = simd::Active();
   ParallelFor(0, x.rows(), RowGrain(cols), [&](size_t lo, size_t hi) {
-    be.row_dot(x.data(), x.stride(), y.data(), y.stride(), out->data(), lo,
-               hi, cols);
+    be.dot_rows(x.data(), x.stride(), y.data(), y.stride(), nullptr,
+                out->data(), lo, hi, cols);
   });
 }
 
@@ -373,11 +376,21 @@ void RowDotDiff(const Matrix& x, const Matrix& a, const Matrix& b,
   EnsureShapeNoZero(x.rows(), 1, out);
   const size_t cols = x.cols();
   const simd::Backend& be = simd::Active();
-  // Two independent row-dot accumulators per row, each in element order —
-  // bitwise-identical to RowDot(x, b) − RowDot(x, a) at any thread count.
+  // Both dots of a block of rows land in stack buffers, then one subtract
+  // per row — bitwise-identical to RowDot(x, b) − RowDot(x, a) at any
+  // thread count.
+  constexpr size_t kBlock = 64;
+  float* o = out->data();
   ParallelFor(0, x.rows(), RowGrain(2 * cols), [&](size_t lo, size_t hi) {
-    be.row_dot_diff(x.data(), x.stride(), a.data(), a.stride(), b.data(),
-                    b.stride(), out->data(), lo, hi, cols);
+    float dot_a[kBlock], dot_b[kBlock];
+    for (size_t r = lo; r < hi; r += kBlock) {
+      const size_t len = std::min(kBlock, hi - r);
+      be.dot_rows(x.Row(r), x.stride(), b.Row(r), b.stride(), nullptr, dot_b,
+                  0, len, cols);
+      be.dot_rows(x.Row(r), x.stride(), a.Row(r), a.stride(), nullptr, dot_a,
+                  0, len, cols);
+      for (size_t i = 0; i < len; ++i) o[r + i] = dot_b[i] - dot_a[i];
+    }
   });
 }
 
@@ -472,19 +485,6 @@ float MaxAbs(const Matrix& x) {
   return m;
 }
 
-// PUP_HOT
-void Gemv(const Matrix& a, const Matrix& x, Matrix* out) {
-  PUP_OBS_COUNT("la/gemv", 1);
-  PUP_CHECK_EQ(x.cols(), 1u);
-  PUP_CHECK_EQ(a.cols(), x.rows());
-  EnsureShapeNoZero(a.rows(), 1, out);
-  const size_t cols = a.cols();
-  const simd::Backend& be = simd::Active();
-  ParallelFor(0, a.rows(), RowGrain(cols), [&](size_t lo, size_t hi) {
-    be.gemv_rows(a.data(), a.stride(), x.data(), out->data(), lo, hi, cols);
-  });
-}
-
 // PUP_HOT: the serving full-ranking hot path; writes into caller-owned
 // buffers and must not allocate.
 void ScoreItemsForUser(const Matrix& items, const float* user,
@@ -494,10 +494,7 @@ void ScoreItemsForUser(const Matrix& items, const float* user,
   const size_t d = items.cols();
   const simd::Backend& be = simd::Active();
   ParallelFor(0, n, RowGrain(d), [&](size_t lo, size_t hi) {
-    be.gemv_rows(items.data(), items.stride(), user, out, lo, hi, d);
-    if (bias != nullptr) {
-      for (size_t i = lo; i < hi; ++i) out[i] += bias[i];
-    }
+    be.dot_rows(items.data(), items.stride(), user, 0, bias, out, lo, hi, d);
   });
 }
 
@@ -511,23 +508,19 @@ void ScoreItemsForUsers(const Matrix& items, const Matrix& users,
   const size_t n = items.rows();
   EnsureShapeNoZero(m, n, out);
   const simd::Backend& be = simd::Active();
-  // gemm_tb and gemv share one row-dot primitive per backend and float
-  // multiplication commutes bitwise, so out.Row(r) below equals the
-  // per-user gemv result exactly — batching never changes a score.
+  // Each user row is the ScoreItemsForUser call on that user alone, so
+  // batching never changes a score.
   ParallelFor(0, m, RowGrain(d * n), [&](size_t lo, size_t hi) {
-    be.gemm_tb_rows(users.data(), users.stride(), items.data(),
-                    items.stride(), out->data(), out->stride(), lo, hi, d, n);
-    if (bias != nullptr) {
-      for (size_t r = lo; r < hi; ++r) {
-        float* row = out->Row(r);
-        for (size_t i = 0; i < n; ++i) row[i] += bias[i];
-      }
+    for (size_t r = lo; r < hi; ++r) {
+      be.dot_rows(items.data(), items.stride(), users.Row(r), 0, bias,
+                  out->Row(r), 0, n, d);
     }
   });
 }
 
-// PUP_HOT: candidate re-rank path; per-candidate single-row gemv keeps
-// the accumulation identical to the full-ranking path.
+// PUP_HOT: candidate re-rank path; a one-row dot per candidate, seeded
+// with its bias, keeps the accumulation identical to the full-ranking
+// path.
 void ScoreItemsSubset(const Matrix& items, const float* user,
                       const float* bias, const uint32_t* idx, size_t n_idx,
                       float* out) {
@@ -537,8 +530,8 @@ void ScoreItemsSubset(const Matrix& items, const float* user,
   ParallelFor(0, n_idx, RowGrain(d), [&](size_t lo, size_t hi) {
     for (size_t j = lo; j < hi; ++j) {
       PUP_DCHECK(idx[j] < items.rows());
-      be.gemv_rows(items.Row(idx[j]), items.stride(), user, out + j, 0, 1, d);
-      if (bias != nullptr) out[j] += bias[idx[j]];
+      be.dot_rows(items.Row(idx[j]), 0, user, 0,
+                  bias != nullptr ? bias + idx[j] : nullptr, out + j, 0, 1, d);
     }
   });
 }

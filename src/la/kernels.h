@@ -99,32 +99,33 @@ double Dot(const Matrix& x, const Matrix& y);
 /// Maximum absolute entry.
 float MaxAbs(const Matrix& x);
 
-/// y = A x for a dense (m,d) matrix and a length-d vector (d,1) -> (m,1).
-void Gemv(const Matrix& a, const Matrix& x, Matrix* out);
+// Scoring entry points (docs/serving.md). All three call the active
+// backend's one f32 dot, dot_rows (pinned lane accumulation order), with
+// the optional `bias` (length items.rows(), nullptr for none) as each
+// item's seed: the item's bias starts its accumulation, then the lane
+// sums add onto it. So the single-query, batched, and candidate-subset
+// paths produce bitwise-identical floats for the same backend, and
+// models::DotScorer, which eval ranks with, is ScoreItemsForUser — the
+// mechanism behind the served ≡ eval ranking contract. `user` must be
+// 64-byte aligned when items.cols() >= 8 (any padded Matrix row or
+// Matrix::data() qualifies). With a null bias, ScoreItemsForUser is the
+// matrix-vector product items · user.
 
-// Serving-layer scoring entry points (docs/serving.md). All three route
-// through the active backend's shared row-dot primitive (pinned lane
-// accumulation order), so the single-query, batched, and candidate-subset
-// paths produce bitwise-identical floats for the same backend — the
-// mechanism behind the serve-vs-eval ranking parity contract. The
-// optional `bias` (length items.rows(), nullptr for none) is added after
-// each dot product. `user` must be 64-byte aligned when items.cols() >= 8
-// (any padded Matrix row or Matrix::data() qualifies).
-
-/// out[i] = dot(items.Row(i), user) + bias[i] for every item; `out`
+/// out[i] = bias[i] + dot(items.Row(i), user) for every item; `out`
 /// holds items.rows() floats.
 void ScoreItemsForUser(const Matrix& items, const float* user,
                        const float* bias, float* out);
 
-/// Batched form for micro-batched serving: out(r, i) =
-/// dot(items.Row(i), users.Row(r)) + bias[i]. Shapes: (n,d) items,
+/// Batched form for micro-batched serving: out(r, i) = bias[i] +
+/// dot(items.Row(i), users.Row(r)). Shapes: (n,d) items,
 /// (m,d) users -> (m,n). Each output row is bitwise-equal to a
 /// ScoreItemsForUser call on that user alone, at any batch shape.
 void ScoreItemsForUsers(const Matrix& items, const Matrix& users,
                         const float* bias, Matrix* out);
 
-/// Candidate re-rank form: out[j] = dot(items.Row(idx[j]), user) +
-/// bias[idx[j]] for j in [0, n_idx). Ids in `idx` must be < items.rows().
+/// Candidate re-rank form: out[j] = bias[idx[j]] +
+/// dot(items.Row(idx[j]), user) for j in [0, n_idx). Ids in `idx` must be
+/// < items.rows().
 void ScoreItemsSubset(const Matrix& items, const float* user,
                       const float* bias, const uint32_t* idx, size_t n_idx,
                       float* out);
@@ -148,8 +149,8 @@ void ScoreItemsQuantized(const QuantizedTable& table,
 /// Exact-f32 survivor re-rank: out[j] = dot(items.Row(ids[j]), user) +
 /// bias[ids[j]] via the pinned-16-virtual-lane backend dot, so the
 /// refined scores (and thus the final ranking) are bitwise-identical on
-/// every backend. `user` must be a padded Matrix row (or any 64-byte
-/// aligned buffer readable through the next 16-float boundary).
+/// every backend. `user` is any buffer of items.cols() floats: the
+/// backends load it unaligned and mask the tail.
 void ScoreItemsRerank(const Matrix& items, const float* user,
                       const float* bias, const uint32_t* ids, size_t n_ids,
                       float* out);

@@ -15,11 +15,14 @@
 //    output columns j — each out(i,j) sees the exact scalar operation
 //    sequence (mul then add per p, never FMA), so every backend is
 //    bitwise-identical to scalar.
-//  * Lane-reduced: gemm_tb_rows / gemv_rows / row_dot / row_dot_diff
-//    accumulate dot products in W lane accumulators (tail elements
-//    enter as zero-padded lanes) and reduce them in pinned lane order
-//    0..W-1. Bitwise-reproducible for a fixed lane width at any
-//    --threads, not bitwise-equal across lane widths.
+//  * Lane-reduced: dot_rows, the one f32 dot every backend writes
+//    (RowDot, RowDotDiff, GemmTransB and the ScoreItems* entries all
+//    call it), accumulates in W lane accumulators (tail elements enter as
+//    zero-padded lanes) and reduces them in pinned lane order 0..W-1,
+//    starting from the row's seed (0.0f when there is none). Scalar is
+//    the W = 1 case: the seed, then each product in element order.
+//    Bitwise-reproducible for a fixed lane width at any --threads, not
+//    bitwise-equal across lane widths.
 //  * Approximate elementwise: sigmoid / tanh use polynomial / exp2
 //    approximations under a bounded-ULP contract on vector backends;
 //    the scalar backend keeps libm exactly.
@@ -67,20 +70,12 @@ struct Backend {
   void (*gemm_ta_rows)(const float* a, size_t a_stride, const float* b,
                        size_t b_stride, float* out, size_t out_stride,
                        size_t lo, size_t hi, size_t k, size_t n, size_t nw);
-  // out(i, j) = dot(a row i, b row j, k) for i in [lo, hi), j in [0, n).
-  void (*gemm_tb_rows)(const float* a, size_t a_stride, const float* b,
-                       size_t b_stride, float* out, size_t out_stride,
-                       size_t lo, size_t hi, size_t k, size_t n);
-  // out[i] = dot(a row i, x, k) for i in [lo, hi); x and out contiguous.
-  void (*gemv_rows)(const float* a, size_t a_stride, const float* x,
-                    float* out, size_t lo, size_t hi, size_t k);
-  // out[i] = dot(x row i, y row i, d) for i in [lo, hi).
-  void (*row_dot)(const float* x, size_t x_stride, const float* y,
-                  size_t y_stride, float* out, size_t lo, size_t hi, size_t d);
-  // out[i] = dot(x row i, b row i, d) - dot(x row i, a row i, d).
-  void (*row_dot_diff)(const float* x, size_t x_stride, const float* a,
-                       size_t a_stride, const float* b, size_t b_stride,
-                       float* out, size_t lo, size_t hi, size_t d);
+  // out[i] = seed[i] + dot(x row i, y row i, d) for i in [lo, hi), the
+  // seed starting the accumulation (0.0f when `seed` is null). A zero
+  // stride repeats one row: y_stride = 0 dots every x row with one y.
+  void (*dot_rows)(const float* x, size_t x_stride, const float* y,
+                   size_t y_stride, const float* seed, float* out, size_t lo,
+                   size_t hi, size_t d);
   // out[i] += alpha * x[i] over the flat padded range [lo, hi).
   void (*axpy)(float alpha, const float* x, float* out, size_t lo, size_t hi);
   // out[i] = sigmoid(x[i]) / tanh(x[i]) over the flat padded [lo, hi).

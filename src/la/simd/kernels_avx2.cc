@@ -8,10 +8,10 @@
 //    compiler cannot fuse the mul/add intrinsics either.)
 //  * GEMM-family kernels vectorize across output columns with one
 //    accumulator per output element — bitwise-identical to scalar.
-//  * Dot-product kernels keep 8 lane accumulators; tails enter as
-//    zero-padded lanes via maskload, and the final reduction adds lanes
-//    0..7 sequentially. Reproducible at any --threads for this lane
-//    width; not bitwise-equal to other widths.
+//  * The one f32 dot (DotRows) keeps 8 lane accumulators; tails enter
+//    as zero-padded lanes via maskload, and the final reduction adds
+//    lanes 0..7 sequentially onto the row's seed. Reproducible at any
+//    --threads for this lane width; not bitwise-equal to other widths.
 //  * Row pointers handed in by kernels.cc are 64-byte aligned whenever
 //    the row is wider than one float (Matrix layout contract), so the
 //    full-lane loops use aligned loads; only tails use maskload, which
@@ -43,19 +43,18 @@ inline __m256i TailMask(size_t t) {
       reinterpret_cast<const __m256i*>(kMaskTable + (kW - t)));
 }
 
-// Pinned-order lane reduction: lanes 0..7 added sequentially into one
-// scalar — THE accumulation-order contract for this lane width.
-inline float LaneSum(__m256 acc) {
+// Pinned-order lane reduction: lanes 0..7 added sequentially onto `s`,
+// the row's seed — THE accumulation-order contract for this lane width.
+inline float LaneSum(__m256 acc, float s) {
   alignas(32) float lanes[kW];
   _mm256_store_ps(lanes, acc);
-  float s = 0.0f;
   for (size_t l = 0; l < kW; ++l) s += lanes[l];
   return s;
 }
 
-// Dot product of two rows of logical length k: full aligned lanes, then
-// one zero-padded masked tail, then the pinned lane reduction.
-inline float RowDotOne(const float* x, const float* y, size_t k) {
+// seed + dot product of two rows of logical length k: full aligned lanes,
+// then one zero-padded masked tail, then the pinned lane reduction.
+inline float RowDotOne(const float* x, const float* y, size_t k, float seed) {
   __m256 acc = _mm256_setzero_ps();
   size_t p = 0;
   for (; p + kW <= k; p += kW) {
@@ -68,7 +67,7 @@ inline float RowDotOne(const float* x, const float* y, size_t k) {
     acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_maskload_ps(x + p, m),
                                            _mm256_maskload_ps(y + p, m)));
   }
-  return LaneSum(acc);
+  return LaneSum(acc, seed);
 }
 
 // exp(x) for x <= 0 (see simd_math.h). NaN lanes produce garbage that
@@ -204,39 +203,11 @@ void GemmTransARows(const float* a, size_t a_stride, const float* b,
   }
 }
 
-void GemmTransBRows(const float* a, size_t a_stride, const float* b,
-                    size_t b_stride, float* out, size_t out_stride, size_t lo,
-                    size_t hi, size_t k, size_t n) {
+void DotRows(const float* x, size_t x_stride, const float* y, size_t y_stride,
+             const float* seed, float* out, size_t lo, size_t hi, size_t d) {
   for (size_t i = lo; i < hi; ++i) {
-    const float* arow = a + i * a_stride;
-    float* orow = out + i * out_stride;
-    for (size_t j = 0; j < n; ++j) {
-      orow[j] = RowDotOne(arow, b + j * b_stride, k);
-    }
-  }
-}
-
-void GemvRows(const float* a, size_t a_stride, const float* x, float* out,
-              size_t lo, size_t hi, size_t k) {
-  for (size_t i = lo; i < hi; ++i) {
-    out[i] = RowDotOne(a + i * a_stride, x, k);
-  }
-}
-
-void RowDot(const float* x, size_t x_stride, const float* y, size_t y_stride,
-            float* out, size_t lo, size_t hi, size_t d) {
-  for (size_t i = lo; i < hi; ++i) {
-    out[i] = RowDotOne(x + i * x_stride, y + i * y_stride, d);
-  }
-}
-
-void RowDotDiff(const float* x, size_t x_stride, const float* a,
-                size_t a_stride, const float* b, size_t b_stride, float* out,
-                size_t lo, size_t hi, size_t d) {
-  for (size_t i = lo; i < hi; ++i) {
-    const float* xr = x + i * x_stride;
-    out[i] = RowDotOne(xr, b + i * b_stride, d) -
-             RowDotOne(xr, a + i * a_stride, d);
+    out[i] = RowDotOne(x + i * x_stride, y + i * y_stride, d,
+                       seed != nullptr ? seed[i] : 0.0f);
   }
 }
 
@@ -471,10 +442,7 @@ const Backend& Avx2Backend() {
       obs::Registry::Global().GetCounter("simd/dispatch/avx2"),
       &GemmRows,
       &GemmTransARows,
-      &GemmTransBRows,
-      &GemvRows,
-      &RowDot,
-      &RowDotDiff,
+      &DotRows,
       &Axpy,
       &Sigmoid,
       &Tanh,

@@ -21,16 +21,16 @@ namespace {
 
 constexpr size_t kW = 16;
 
-// Pinned-order lane reduction: lanes 0..15 added sequentially.
-inline float LaneSum(__m512 acc) {
+// Pinned-order lane reduction: lanes 0..15 added sequentially onto `s`,
+// the row's seed.
+inline float LaneSum(__m512 acc, float s) {
   alignas(64) float lanes[kW];
   _mm512_store_ps(lanes, acc);
-  float s = 0.0f;
   for (size_t l = 0; l < kW; ++l) s += lanes[l];
   return s;
 }
 
-inline float RowDotOne(const float* x, const float* y, size_t k) {
+inline float RowDotOne(const float* x, const float* y, size_t k, float seed) {
   __m512 acc = _mm512_setzero_ps();
   size_t p = 0;
   for (; p + kW <= k; p += kW) {
@@ -44,7 +44,7 @@ inline float RowDotOne(const float* x, const float* y, size_t k) {
                         _mm512_mul_ps(_mm512_maskz_loadu_ps(m, x + p),
                                       _mm512_maskz_loadu_ps(m, y + p)));
   }
-  return LaneSum(acc);
+  return LaneSum(acc, seed);
 }
 
 // exp(x) for x <= 0; identical polynomial and operation order to the
@@ -169,39 +169,11 @@ void GemmTransARows(const float* a, size_t a_stride, const float* b,
   }
 }
 
-void GemmTransBRows(const float* a, size_t a_stride, const float* b,
-                    size_t b_stride, float* out, size_t out_stride, size_t lo,
-                    size_t hi, size_t k, size_t n) {
+void DotRows(const float* x, size_t x_stride, const float* y, size_t y_stride,
+             const float* seed, float* out, size_t lo, size_t hi, size_t d) {
   for (size_t i = lo; i < hi; ++i) {
-    const float* arow = a + i * a_stride;
-    float* orow = out + i * out_stride;
-    for (size_t j = 0; j < n; ++j) {
-      orow[j] = RowDotOne(arow, b + j * b_stride, k);
-    }
-  }
-}
-
-void GemvRows(const float* a, size_t a_stride, const float* x, float* out,
-              size_t lo, size_t hi, size_t k) {
-  for (size_t i = lo; i < hi; ++i) {
-    out[i] = RowDotOne(a + i * a_stride, x, k);
-  }
-}
-
-void RowDot(const float* x, size_t x_stride, const float* y, size_t y_stride,
-            float* out, size_t lo, size_t hi, size_t d) {
-  for (size_t i = lo; i < hi; ++i) {
-    out[i] = RowDotOne(x + i * x_stride, y + i * y_stride, d);
-  }
-}
-
-void RowDotDiff(const float* x, size_t x_stride, const float* a,
-                size_t a_stride, const float* b, size_t b_stride, float* out,
-                size_t lo, size_t hi, size_t d) {
-  for (size_t i = lo; i < hi; ++i) {
-    const float* xr = x + i * x_stride;
-    out[i] = RowDotOne(xr, b + i * b_stride, d) -
-             RowDotOne(xr, a + i * a_stride, d);
+    out[i] = RowDotOne(x + i * x_stride, y + i * y_stride, d,
+                       seed != nullptr ? seed[i] : 0.0f);
   }
 }
 
@@ -405,7 +377,7 @@ void RerankDotRows(const float* items, size_t stride, const float* query,
                           _mm512_mul_ps(_mm512_maskz_loadu_ps(m, row + p),
                                         _mm512_maskz_loadu_ps(m, query + p)));
     }
-    out[j] = LaneSum(acc);
+    out[j] = LaneSum(acc, 0.0f);
   }
 }
 
@@ -419,10 +391,7 @@ const Backend& Avx512Backend() {
       obs::Registry::Global().GetCounter("simd/dispatch/avx512"),
       &GemmRows,
       &GemmTransARows,
-      &GemmTransBRows,
-      &GemvRows,
-      &RowDot,
-      &RowDotDiff,
+      &DotRows,
       &Axpy,
       &Sigmoid,
       &Tanh,

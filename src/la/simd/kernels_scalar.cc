@@ -42,54 +42,14 @@ void GemmTransARows(const float* a, size_t a_stride, const float* b,
   }
 }
 
-void GemmTransBRows(const float* a, size_t a_stride, const float* b,
-                    size_t b_stride, float* out, size_t out_stride, size_t lo,
-                    size_t hi, size_t k, size_t n) {
-  for (size_t i = lo; i < hi; ++i) {
-    const float* arow = a + i * a_stride;
-    float* orow = out + i * out_stride;
-    for (size_t j = 0; j < n; ++j) {
-      const float* brow = b + j * b_stride;
-      float acc = 0.0f;
-      for (size_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-      orow[j] = acc;
-    }
-  }
-}
-
-void GemvRows(const float* a, size_t a_stride, const float* x, float* out,
-              size_t lo, size_t hi, size_t k) {
-  for (size_t i = lo; i < hi; ++i) {
-    const float* arow = a + i * a_stride;
-    float acc = 0.0f;
-    for (size_t j = 0; j < k; ++j) acc += arow[j] * x[j];
-    out[i] = acc;
-  }
-}
-
-void RowDot(const float* x, size_t x_stride, const float* y, size_t y_stride,
-            float* out, size_t lo, size_t hi, size_t d) {
+void DotRows(const float* x, size_t x_stride, const float* y, size_t y_stride,
+             const float* seed, float* out, size_t lo, size_t hi, size_t d) {
   for (size_t i = lo; i < hi; ++i) {
     const float* xr = x + i * x_stride;
     const float* yr = y + i * y_stride;
-    float acc = 0.0f;
+    float acc = seed != nullptr ? seed[i] : 0.0f;
     for (size_t j = 0; j < d; ++j) acc += xr[j] * yr[j];
     out[i] = acc;
-  }
-}
-
-void RowDotDiff(const float* x, size_t x_stride, const float* a,
-                size_t a_stride, const float* b, size_t b_stride, float* out,
-                size_t lo, size_t hi, size_t d) {
-  for (size_t i = lo; i < hi; ++i) {
-    const float* xr = x + i * x_stride;
-    const float* ar = a + i * a_stride;
-    const float* br = b + i * b_stride;
-    float acc_a = 0.0f;
-    for (size_t j = 0; j < d; ++j) acc_a += xr[j] * ar[j];
-    float acc_b = 0.0f;
-    for (size_t j = 0; j < d; ++j) acc_b += xr[j] * br[j];
-    out[i] = acc_b - acc_a;
   }
 }
 
@@ -218,10 +178,7 @@ const Backend& ScalarBackend() {
       obs::Registry::Global().GetCounter("simd/dispatch/off"),
       &GemmRows,
       &GemmTransARows,
-      &GemmTransBRows,
-      &GemvRows,
-      &RowDot,
-      &RowDotDiff,
+      &DotRows,
       &Axpy,
       &Sigmoid,
       &Tanh,

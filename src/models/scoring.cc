@@ -1,6 +1,7 @@
 #include "models/scoring.h"
 
 #include "common/check.h"
+#include "la/kernels.h"
 
 namespace pup::models {
 
@@ -18,21 +19,10 @@ DotScorer::DotScorer(la::Matrix user_vecs, la::Matrix item_vecs,
 void DotScorer::ScoreItems(uint32_t user, std::vector<float>* out) const {
   PUP_CHECK_MSG(initialized(), "DotScorer used before Fit");
   PUP_CHECK(user < user_vecs_.rows());
-  // Keeps the historical bias-seeded accumulation order: the serial
-  // regression goldens pin this exact float sequence. The serving layer
-  // freezes these tables and scores them through la::ScoreItemsForUser
-  // (dot first, bias after); its parity contract is defined against
-  // IndexScorer, which uses that same kernel — see docs/serving.md.
-  const size_t n = item_vecs_.rows();
-  const size_t d = item_vecs_.cols();
-  out->assign(n, 0.0f);
-  const float* u = user_vecs_.Row(user);
-  for (size_t i = 0; i < n; ++i) {
-    const float* v = item_vecs_.Row(i);
-    float acc = item_bias_.empty() ? 0.0f : item_bias_[i];
-    for (size_t j = 0; j < d; ++j) acc += u[j] * v[j];
-    (*out)[i] = acc;
-  }
+  out->resize(item_vecs_.rows());
+  la::ScoreItemsForUser(item_vecs_, user_vecs_.Row(user),
+                        item_bias_.empty() ? nullptr : item_bias_.data(),
+                        out->data());
 }
 
 }  // namespace pup::models

@@ -4,8 +4,10 @@
 //   score(u, i) = ⟨user_vec[u], item_vec[i]⟩ + item_bias[i]
 // for suitable precomputed vectors (e.g. PUP folds the price and category
 // inner products of eq. 3 into item_vec and item_bias). This helper stores
-// the precomputed matrices and evaluates all items per user with one
-// matrix-vector pass.
+// the precomputed matrices and scores all items of a user with one
+// la::ScoreItemsForUser call, the kernel the server scores a frozen copy
+// of these tables with: each item's bias seeds its dot, so a fitted
+// model's eval scores and its served scores are the same floats.
 #pragma once
 
 #include <cstdint>
@@ -15,8 +17,8 @@
 
 namespace pup::models {
 
-/// Precomputed dot-product scorer: score(u,·) = item_vecs · user_vec(u)
-/// + item_bias.
+/// Precomputed dot-product scorer: score(u,·) = item_bias + item_vecs ·
+/// user_vec(u), the bias starting each item's accumulation.
 class DotScorer {
  public:
   DotScorer() = default;

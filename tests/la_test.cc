@@ -360,12 +360,13 @@ TEST(ReductionTest, SumNormDotMaxAbs) {
   EXPECT_EQ(MaxAbs(x), 4.0f);
 }
 
+// With no bias, ScoreItemsForUser is the matrix-vector product a · x.
 TEST(GemvTest, MatchesGemm) {
   Rng rng(88);
   Matrix a = RandomMatrix(5, 4, &rng);
   Matrix x = RandomMatrix(4, 1, &rng);
-  Matrix out1, out2;
-  Gemv(a, x, &out1);
+  Matrix out1(5, 1), out2;
+  ScoreItemsForUser(a, x.data(), nullptr, out1.data());
   Gemm(a, x, &out2);
   ExpectMatrixNear(out1, out2, 1e-5f);
 }

@@ -3,10 +3,12 @@
 //  * The determinism taxonomy from docs/simd.md, enforced per backend:
 //     - order-preserving kernels (Gemm / GemmTransA) are bitwise-equal
 //       to the scalar golden path on every backend;
-//     - lane-reduced kernels (RowDot / RowDotDiff / Gemv / GemmTransB)
-//       are bitwise-equal to a pinned-order lane reference (W zero-padded
-//       lane accumulators reduced in lane order 0..W-1) at each backend's
-//       lane width, and thread-count invariant at a fixed backend;
+//     - lane-reduced kernels (RowDot / RowDotDiff / GemmTransB and the
+//       ScoreItems* entries, with and without a bias seed) are
+//       bitwise-equal to a pinned-order lane reference (W zero-padded
+//       lane accumulators reduced in lane order 0..W-1 onto the seed) at
+//       each backend's lane width, and thread-count invariant at a fixed
+//       backend;
 //     - approximate elementwise (Sigmoid / Tanh) obeys a bounded-ULP
 //       contract on vector backends while --simd=off stays bitwise-equal
 //       to the historical libm formulation (the golden path).
@@ -105,11 +107,12 @@ void ExpectBitwiseEqual(const Matrix& a, const Matrix& b, const char* what) {
 // exactly: W lane accumulators fed in element order, the tail entering
 // as one zero-padded lane step (every lane adds, dead lanes add +0.0f,
 // exactly like a masked vector load), then lanes summed 0..W-1 into a
-// scalar that starts at 0.0f. W == 1 degenerates to the scalar golden
-// path's plain element-order accumulation.
-float PinnedLaneDot(const float* x, const float* y, size_t k, size_t w) {
+// scalar that starts at `seed`. W == 1 degenerates to the scalar golden
+// path's plain element-order accumulation onto the seed.
+float PinnedLaneDot(const float* x, const float* y, size_t k, size_t w,
+                    float seed = 0.0f) {
   if (w <= 1) {
-    float acc = 0.0f;
+    float acc = seed;
     for (size_t p = 0; p < k; ++p) acc += x[p] * y[p];
     return acc;
   }
@@ -125,7 +128,7 @@ float PinnedLaneDot(const float* x, const float* y, size_t k, size_t w) {
       acc[l] += xv * yv;
     }
   }
-  float s = 0.0f;
+  float s = seed;
   for (size_t l = 0; l < w; ++l) s += acc[l];
   return s;
 }
@@ -317,13 +320,42 @@ TEST_F(SimdParityTest, LaneReducedKernelsMatchPinnedReference) {
             << simd::IsaName(isa) << " RowDotDiff row " << i << " d=" << d;
       }
 
-      Matrix vec = RandomMatrix(d, 1, 31 + d);
-      Matrix gemv;
-      la::Gemv(x, vec, &gemv);
-      for (size_t i = 0; i < rows; ++i) {
-        const float ref = PinnedLaneDot(x.Row(i), vec.data(), d, w);
-        ASSERT_EQ(Bits(gemv(i, 0)), Bits(ref))
-            << simd::IsaName(isa) << " Gemv row " << i << " d=" << d;
+      // Scoring: the rows of x are items, the rows of y users; an item's
+      // bias, when there is one, seeds its dot. The subset lists the
+      // items in reverse.
+      std::vector<uint32_t> idx(rows);
+      for (size_t j = 0; j < rows; ++j) {
+        idx[j] = static_cast<uint32_t>(rows - 1 - j);
+      }
+      Rng bias_rng(41 + d);
+      std::vector<float> bias(rows);
+      for (float& b : bias) b = 2.0f * bias_rng.NextFloat() - 1.0f;
+      const float* const seeds[] = {nullptr, bias.data()};
+      for (const float* seed : seeds) {
+        const char* what = seed != nullptr ? " with bias" : " without bias";
+        Matrix batch;
+        la::ScoreItemsForUsers(x, y, seed, &batch);
+        std::vector<float> one(rows), subset(rows), ref(rows);
+        for (size_t u = 0; u < rows; ++u) {
+          la::ScoreItemsForUser(x, y.Row(u), seed, one.data());
+          la::ScoreItemsSubset(x, y.Row(u), seed, idx.data(), rows,
+                               subset.data());
+          for (size_t i = 0; i < rows; ++i) {
+            ref[i] = PinnedLaneDot(x.Row(i), y.Row(u), d, w,
+                                   seed != nullptr ? seed[i] : 0.0f);
+          }
+          for (size_t i = 0; i < rows; ++i) {
+            ASSERT_EQ(Bits(one[i]), Bits(ref[i]))
+                << simd::IsaName(isa) << " ScoreItemsForUser" << what
+                << " (" << u << "," << i << ") d=" << d;
+            ASSERT_EQ(Bits(batch(u, i)), Bits(ref[i]))
+                << simd::IsaName(isa) << " ScoreItemsForUsers" << what
+                << " (" << u << "," << i << ") d=" << d;
+            ASSERT_EQ(Bits(subset[i]), Bits(ref[idx[i]]))
+                << simd::IsaName(isa) << " ScoreItemsSubset" << what
+                << " (" << u << "," << idx[i] << ") d=" << d;
+          }
+        }
       }
 
       Matrix tb;
