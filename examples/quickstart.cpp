@@ -16,7 +16,7 @@
 // --max-neighbors=N caps per-node graph fan-in PinSage-style.
 #include <algorithm>
 #include <cstdio>
-#include <numeric>
+#include <limits>
 
 #include "common/flags.h"
 #include "obs/export.h"
@@ -24,6 +24,7 @@
 #include "data/quantization.h"
 #include "data/synthetic.h"
 #include "eval/metrics.h"
+#include "eval/topk.h"
 
 int main(int argc, char** argv) {
   using namespace pup;
@@ -71,8 +72,8 @@ int main(int argc, char** argv) {
               config.train.epochs);
   model.Fit(dataset, split.train);
 
-  // 4. Recommend for the most active user: rank all items she has not
-  // bought in training, print the top 10.
+  // 4. Recommend for the most active user: rank all items the user has
+  // not bought in training, print the top 10.
   std::vector<size_t> activity(dataset.num_users, 0);
   for (const auto& x : split.train) activity[x.user]++;
   auto user = static_cast<uint32_t>(
@@ -84,19 +85,15 @@ int main(int argc, char** argv) {
   for (uint32_t item : train_items[user]) {
     scores[item] = -std::numeric_limits<float>::infinity();
   }
-  std::vector<uint32_t> ranking(dataset.num_items);
-  std::iota(ranking.begin(), ranking.end(), 0u);
-  std::partial_sort(ranking.begin(), ranking.begin() + 10, ranking.end(),
-                    [&](uint32_t a, uint32_t b) {
-                      return scores[a] > scores[b];
-                    });
+  std::vector<uint32_t> ranking;
+  eval::TopKSelector().Select(scores.data(), scores.size(), 10, &ranking);
 
   std::printf("\ntop-10 recommendations for user %u (%zu past purchases):\n",
               user, activity[user]);
   std::printf("rank  item   category  price    level  score\n");
-  for (int r = 0; r < 10; ++r) {
+  for (size_t r = 0; r < ranking.size(); ++r) {
     uint32_t i = ranking[r];
-    std::printf("%4d  %5u  %8u  %7.2f  %5u  %.4f\n", r + 1, i,
+    std::printf("%4zu  %5u  %8u  %7.2f  %5u  %.4f\n", r + 1, i,
                 dataset.item_category[i], dataset.item_price[i],
                 dataset.item_price_level[i], scores[i]);
   }

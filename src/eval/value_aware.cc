@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "common/check.h"
+#include "eval/topk.h"
 
 namespace pup::eval {
 
@@ -37,7 +37,8 @@ double RevenueAtK(const Scorer& scorer, size_t num_users, size_t num_items,
   double total = 0.0;
   size_t evaluated = 0;
   std::vector<float> scores;
-  std::vector<uint32_t> idx(num_items);
+  std::vector<uint32_t> top;
+  TopKSelector selector;
   for (uint32_t u = 0; u < num_users; ++u) {
     const auto& test = test_items[u];
     if (test.empty()) continue;
@@ -45,19 +46,11 @@ double RevenueAtK(const Scorer& scorer, size_t num_users, size_t num_items,
     scorer.ScoreItems(u, &scores);
     PUP_CHECK_EQ(scores.size(), num_items);
     for (uint32_t item : exclude_items[u]) scores[item] = kNegInf;
-    std::iota(idx.begin(), idx.end(), 0u);
-    size_t kk = std::min<size_t>(static_cast<size_t>(k), idx.size());
-    std::partial_sort(idx.begin(), idx.begin() + kk, idx.end(),
-                      [&](uint32_t a, uint32_t b) {
-                        if (scores[a] != scores[b]) {
-                          return scores[a] > scores[b];
-                        }
-                        return a < b;
-                      });
-    for (size_t pos = 0; pos < kk; ++pos) {
-      if (scores[idx[pos]] == kNegInf) break;
-      if (std::binary_search(test.begin(), test.end(), idx[pos])) {
-        total += prices[idx[pos]];
+    selector.Select(scores.data(), num_items, static_cast<size_t>(k), &top);
+    for (uint32_t item : top) {
+      if (scores[item] == kNegInf) break;
+      if (std::binary_search(test.begin(), test.end(), item)) {
+        total += prices[item];
       }
     }
   }

@@ -139,6 +139,16 @@ TEST(ValueAwareTest, RevenueAtKCountsHitPrices) {
   EXPECT_DOUBLE_EQ(rev4, 13.0);  // Items 3 and 0.
 }
 
+TEST(ValueAwareTest, RevenueAtKBreaksTiesBySmallerId) {
+  // Items 1 and 2 tie for the second slot of the top-2 behind item 0. The
+  // library's ordering rule (eval::TopKSelector) keeps the smaller id, so
+  // item 1 earns its price and item 2 earns nothing.
+  ConstantScorer base({3.0f, 1.0f, 1.0f, 0.0f});
+  std::vector<float> prices = {5.0f, 6.0f, 7.0f, 8.0f};
+  EXPECT_DOUBLE_EQ(eval::RevenueAtK(base, 1, 4, {{}}, {{1}}, prices, 2), 6.0);
+  EXPECT_DOUBLE_EQ(eval::RevenueAtK(base, 1, 4, {{}}, {{2}}, prices, 2), 0.0);
+}
+
 TEST(ValueAwareTest, ExcludedItemsEarnNothing) {
   ConstantScorer base({0.0f, 1.0f});
   double rev = eval::RevenueAtK(base, 1, 2, {{1}}, {{1}}, {2.0f, 9.0f}, 2);
