@@ -1,6 +1,8 @@
-// Micro-benchmarks (google-benchmark): one training epoch per model on a
-// small fixed dataset — the cost profile behind the table benches — plus
-// the negative-sampling draw costs behind docs/sampling.md.
+// Micro-benchmarks (google-benchmark): one training epoch per baseline
+// model on a small fixed dataset — the cost profile behind the table
+// benches — plus the negative-sampling draw costs behind docs/sampling.md.
+// PUP's uniform-negative epoch is timed by the benchmark ledger's
+// train-pup workload (bench_ledger/README.md).
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -99,15 +101,6 @@ void BM_EpochNgcf(benchmark::State& state) {
 }
 BENCHMARK(BM_EpochNgcf)->Unit(benchmark::kMillisecond);
 
-void BM_EpochPup(benchmark::State& state) {
-  EpochBench(state, [] {
-    core::PupConfig c = core::PupConfig::Full();
-    c.train = OneEpoch();
-    return std::make_unique<core::Pup>(c);
-  });
-}
-BENCHMARK(BM_EpochPup)->Unit(benchmark::kMillisecond);
-
 // --- negative-sampling draws (docs/sampling.md) ---------------------------
 //
 // BM_AliasDraw is flat in the catalog size (Vose alias: two array reads
@@ -150,8 +143,8 @@ void BM_RejectionWeightedDraw(benchmark::State& state) {
 }
 BENCHMARK(BM_RejectionWeightedDraw)->Arg(1000)->Arg(10000)->Arg(100000);
 
-// One PUP epoch with weighted negatives: the end-to-end overhead of the
-// per-epoch alias rebuild plus the weighted draw vs BM_EpochPup above.
+// One PUP epoch with popularity-weighted negatives: the per-epoch alias
+// rebuild plus the weighted draws, end to end.
 void BM_EpochPupWeightedNegatives(benchmark::State& state) {
   EpochBench(state, [] {
     core::PupConfig c = core::PupConfig::Full();
