@@ -15,8 +15,8 @@
 //    output columns j — each out(i,j) sees the exact scalar operation
 //    sequence (mul then add per p, never FMA), so every backend is
 //    bitwise-identical to scalar.
-//  * Lane-reduced: dot_rows, the one f32 dot every backend writes
-//    (RowDot, RowDotDiff, GemmTransB and the ScoreItems* entries all
+//  * Lane-reduced: dot_rows, the one f32 dot at the backend's lane width
+//    (RowDot, RowDotDiff, GemmTransB and the f32 ScoreItems* entries all
 //    call it), accumulates in W lane accumulators (tail elements enter as
 //    zero-padded lanes) and reduces them in pinned lane order 0..W-1,
 //    starting from the row's seed (0.0f when there is none). Scalar is
