@@ -2,11 +2,12 @@
 //
 // The central property is the determinism contract of docs/serving.md:
 // a served top-K list is bitwise-identical to the offline eval ranking
-// of the same index, at every (SIMD backend, client thread count, batch
-// schedule, cache state) combination. The reference rankings here are an
-// independent reimplementation (full std::sort under the library
-// tie-break rule), so the parity tests cross-check the serving path and
-// eval::TopKSelector against each other.
+// of the same index, and of the fitted model it was frozen from, at
+// every (SIMD backend, client thread count, batch schedule, cache state)
+// combination. The reference rankings here are an independent
+// reimplementation (full std::sort under the library tie-break rule), so
+// the parity tests cross-check the serving path and eval::TopKSelector
+// against each other.
 #include <gtest/gtest.h>
 
 #include <algorithm>
