@@ -297,8 +297,14 @@ TEST_F(SimdParityTest, AxpyBitwiseEqualAcrossBackends) {
 // own lane width — this is the accumulation-order contract that makes
 // results reproducible at any --threads for a fixed --simd backend.
 TEST_F(SimdParityTest, LaneReducedKernelsMatchPinnedReference) {
-  const std::pair<size_t, size_t> shapes[] = {
+  std::vector<std::pair<size_t, size_t>> shapes = {
       {1, 1}, {2, 3}, {3, 8}, {4, 16}, {5, 17}, {2, 31}, {3, 33}, {1, 100}};
+  // Rows 8, 16, 17 and 40 fill whole 8- and 16-row blocks, with and
+  // without rows left over; 64 + 7 rows span two 64-item tiles of the
+  // batched scorer. The d values leave ragged lane tails.
+  for (size_t rows : {8, 16, 17, 40, 64 + 7}) {
+    for (size_t d : {17, 33, 64, 100}) shapes.emplace_back(rows, d);
+  }
   for (auto [rows, d] : shapes) {
     Matrix x = RandomMatrix(rows, d, 7 * rows + d);
     Matrix y = RandomMatrix(rows, d, 9 * rows + d);
