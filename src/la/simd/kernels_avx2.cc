@@ -8,10 +8,13 @@
 //    compiler cannot fuse the mul/add intrinsics either.)
 //  * GEMM-family kernels vectorize across output columns with one
 //    accumulator per output element — bitwise-identical to scalar.
-//  * The one f32 dot (DotRows) keeps 8 lane accumulators; tails enter
-//    as zero-padded lanes via maskload, and the final reduction adds
-//    lanes 0..7 sequentially onto the row's seed. Reproducible at any
-//    --threads for this lane width; not bitwise-equal to other widths.
+//  * The one f32 dot (DotRows) keeps 8 lane accumulators per row; tails
+//    enter as zero-padded lanes via maskload, and the final reduction
+//    adds lanes 0..7 sequentially onto the row's seed. Rows go in blocks
+//    of 8: an 8x8 transpose, then 8 vector adds in lane order onto the
+//    block's seeds, performs that reduction for 8 rows at once; leftover
+//    rows reduce one at a time. Reproducible at any --threads for this
+//    lane width; not bitwise-equal to other widths.
 //  * Row pointers handed in by kernels.cc are 64-byte aligned whenever
 //    the row is wider than one float (Matrix layout contract), so the
 //    full-lane loops use aligned loads; only tails use maskload, which
@@ -68,6 +71,41 @@ inline float RowDotOne(const float* x, const float* y, size_t k, float seed) {
                                            _mm256_maskload_ps(y + p, m)));
   }
   return LaneSum(acc, seed);
+}
+
+// LaneSum for 8 rows at once. An 8x8 in-register transpose moves lane l
+// of row r's accumulator to lane r of vector l; adding vectors 0..7 in
+// order onto `s`, the rows' seeds, then gives every row seed + lane 0 +
+// lane 1 + ... + lane 7 — LaneSum's exact sequence of adds.
+inline __m256 BlockLaneSum(const __m256 (&acc)[kW], __m256 s) {
+  __m256 a[kW], b[kW];
+  // Interleave rows in pairs (32-bit), then pairs in pairs (64-bit):
+  // 128-bit half q of a[4g + j] holds lane 4q + j of rows 4g..4g+3.
+#pragma GCC unroll 4
+  for (size_t r = 0; r < kW; r += 2) {
+    b[r] = _mm256_unpacklo_ps(acc[r], acc[r + 1]);
+    b[r + 1] = _mm256_unpackhi_ps(acc[r], acc[r + 1]);
+  }
+#pragma GCC unroll 2
+  for (size_t g = 0; g < kW; g += 4) {
+    const __m256d b0 = _mm256_castps_pd(b[g]);
+    const __m256d b1 = _mm256_castps_pd(b[g + 1]);
+    const __m256d b2 = _mm256_castps_pd(b[g + 2]);
+    const __m256d b3 = _mm256_castps_pd(b[g + 3]);
+    a[g] = _mm256_castpd_ps(_mm256_unpacklo_pd(b0, b2));
+    a[g + 1] = _mm256_castpd_ps(_mm256_unpackhi_pd(b0, b2));
+    a[g + 2] = _mm256_castpd_ps(_mm256_unpacklo_pd(b1, b3));
+    a[g + 3] = _mm256_castpd_ps(_mm256_unpackhi_pd(b1, b3));
+  }
+  // Join the halves: b[l] holds lane l of rows 0..7, in row order.
+#pragma GCC unroll 4
+  for (size_t j = 0; j < 4; ++j) {
+    b[j] = _mm256_permute2f128_ps(a[j], a[4 + j], 0x20);
+    b[4 + j] = _mm256_permute2f128_ps(a[j], a[4 + j], 0x31);
+  }
+#pragma GCC unroll 8
+  for (size_t l = 0; l < kW; ++l) s = _mm256_add_ps(s, b[l]);
+  return s;
 }
 
 // exp(x) for x <= 0 (see simd_math.h). NaN lanes produce garbage that
@@ -203,9 +241,42 @@ void GemmTransARows(const float* a, size_t a_stride, const float* b,
   }
 }
 
+// Blocks of 8 rows: one accumulator per row, fed exactly as RowDotOne
+// feeds its own, then one BlockLaneSum. Rows left after the last block
+// take RowDotOne.
 void DotRows(const float* x, size_t x_stride, const float* y, size_t y_stride,
              const float* seed, float* out, size_t lo, size_t hi, size_t d) {
-  for (size_t i = lo; i < hi; ++i) {
+  size_t i = lo;
+  for (; i + kW <= hi; i += kW) {
+    const float* xb = x + i * x_stride;
+    const float* yb = y + i * y_stride;
+    __m256 acc[kW];
+#pragma GCC unroll 8
+    for (size_t r = 0; r < kW; ++r) acc[r] = _mm256_setzero_ps();
+    size_t p = 0;
+    for (; p + kW <= d; p += kW) {
+#pragma GCC unroll 8
+      for (size_t r = 0; r < kW; ++r) {
+        const __m256 xv = _mm256_load_ps(xb + r * x_stride + p);
+        const __m256 yv = _mm256_load_ps(yb + r * y_stride + p);
+        acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(xv, yv));
+      }
+    }
+    const size_t t = d - p;
+    if (t != 0) {
+      const __m256i m = TailMask(t);
+#pragma GCC unroll 8
+      for (size_t r = 0; r < kW; ++r) {
+        const __m256 xv = _mm256_maskload_ps(xb + r * x_stride + p, m);
+        const __m256 yv = _mm256_maskload_ps(yb + r * y_stride + p, m);
+        acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(xv, yv));
+      }
+    }
+    const __m256 s =
+        seed != nullptr ? _mm256_loadu_ps(seed + i) : _mm256_setzero_ps();
+    _mm256_storeu_ps(out + i, BlockLaneSum(acc, s));
+  }
+  for (; i < hi; ++i) {
     out[i] = RowDotOne(x + i * x_stride, y + i * y_stride, d,
                        seed != nullptr ? seed[i] : 0.0f);
   }

@@ -2,9 +2,10 @@
 // -ffp-contract=off (only this file), omitted when PUP_HAVE_AVX512 is
 // off. Mirrors kernels_avx2.cc — see that file and docs/simd.md for the
 // determinism notes; the only structural differences are the lane width,
-// the use of predicate masks (__mmask16) for tails, and an explicit
-// sequential lane reduction (never _mm512_reduce_add_ps, whose tree
-// order is not the pinned lane order 0..15).
+// the use of predicate masks (__mmask16) for tails, and the 16-row block
+// of DotRows (a 16x16 transpose instead of 8x8). The lane reduction is
+// always sequential in lane order 0..15, never _mm512_reduce_add_ps,
+// whose tree order is not the pinned one.
 #if defined(PUP_HAVE_AVX512)
 
 #include <immintrin.h>
@@ -45,6 +46,62 @@ inline float RowDotOne(const float* x, const float* y, size_t k, float seed) {
                                       _mm512_maskz_loadu_ps(m, y + p)));
   }
   return LaneSum(acc, seed);
+}
+
+// LaneSum for 16 rows at once. A 16x16 in-register transpose moves lane
+// l of row r's accumulator to lane r of vector l; adding vectors 0..15 in
+// order onto `s`, the rows' seeds, then gives every row seed + lane 0 +
+// lane 1 + ... + lane 15 — LaneSum's exact sequence of adds.
+//
+// The shuffles are written in their masked forms with an all-ones mask:
+// the plain forms pass an undefined vector as the masked-off source,
+// which GCC 12 reports as maybe-uninitialized once inlined here. Both
+// compile to the same unmasked instruction.
+inline __m512 BlockLaneSum(const __m512 (&acc)[kW], __m512 s) {
+  constexpr __mmask16 kAll = 0xFFFF;
+  constexpr __mmask8 kAllPd = 0xFF;
+  __m512 a[kW], b[kW];
+  // Interleave rows in pairs (32-bit), then pairs in pairs (64-bit):
+  // 128-bit block q of a[4g + j] holds lane 4q + j of rows 4g..4g+3.
+#pragma GCC unroll 8
+  for (size_t r = 0; r < kW; r += 2) {
+    b[r] = _mm512_mask_unpacklo_ps(acc[r], kAll, acc[r], acc[r + 1]);
+    b[r + 1] = _mm512_mask_unpackhi_ps(acc[r], kAll, acc[r], acc[r + 1]);
+  }
+#pragma GCC unroll 4
+  for (size_t g = 0; g < kW; g += 4) {
+    const __m512d b0 = _mm512_castps_pd(b[g]);
+    const __m512d b1 = _mm512_castps_pd(b[g + 1]);
+    const __m512d b2 = _mm512_castps_pd(b[g + 2]);
+    const __m512d b3 = _mm512_castps_pd(b[g + 3]);
+    a[g] = _mm512_castpd_ps(_mm512_mask_unpacklo_pd(b0, kAllPd, b0, b2));
+    a[g + 1] = _mm512_castpd_ps(_mm512_mask_unpackhi_pd(b0, kAllPd, b0, b2));
+    a[g + 2] = _mm512_castpd_ps(_mm512_mask_unpacklo_pd(b1, kAllPd, b1, b3));
+    a[g + 3] = _mm512_castpd_ps(_mm512_mask_unpackhi_pd(b1, kAllPd, b1, b3));
+  }
+  // Gather 128-bit blocks across row groups twice; 0x88 takes blocks 0
+  // and 2 of each source, 0xdd blocks 1 and 3. Afterwards a[l] holds
+  // lane l of rows 0..15, in row order.
+#pragma GCC unroll 2
+  for (size_t h = 0; h < kW; h += 8) {
+#pragma GCC unroll 4
+    for (size_t j = 0; j < 4; ++j) {
+      const __m512 x = a[h + j];
+      const __m512 y = a[h + 4 + j];
+      b[h + j] = _mm512_mask_shuffle_f32x4(x, kAll, x, y, 0x88);
+      b[h + 4 + j] = _mm512_mask_shuffle_f32x4(x, kAll, x, y, 0xdd);
+    }
+  }
+#pragma GCC unroll 8
+  for (size_t j = 0; j < 8; ++j) {
+    const __m512 x = b[j];
+    const __m512 y = b[8 + j];
+    a[j] = _mm512_mask_shuffle_f32x4(x, kAll, x, y, 0x88);
+    a[8 + j] = _mm512_mask_shuffle_f32x4(x, kAll, x, y, 0xdd);
+  }
+#pragma GCC unroll 16
+  for (size_t l = 0; l < kW; ++l) s = _mm512_add_ps(s, a[l]);
+  return s;
 }
 
 // exp(x) for x <= 0; identical polynomial and operation order to the
@@ -169,9 +226,42 @@ void GemmTransARows(const float* a, size_t a_stride, const float* b,
   }
 }
 
+// Blocks of 16 rows: one accumulator per row, fed exactly as RowDotOne
+// feeds its own, then one BlockLaneSum. Rows left after the last block
+// take RowDotOne.
 void DotRows(const float* x, size_t x_stride, const float* y, size_t y_stride,
              const float* seed, float* out, size_t lo, size_t hi, size_t d) {
-  for (size_t i = lo; i < hi; ++i) {
+  size_t i = lo;
+  for (; i + kW <= hi; i += kW) {
+    const float* xb = x + i * x_stride;
+    const float* yb = y + i * y_stride;
+    __m512 acc[kW];
+#pragma GCC unroll 16
+    for (size_t r = 0; r < kW; ++r) acc[r] = _mm512_setzero_ps();
+    size_t p = 0;
+    for (; p + kW <= d; p += kW) {
+#pragma GCC unroll 16
+      for (size_t r = 0; r < kW; ++r) {
+        const __m512 xv = _mm512_load_ps(xb + r * x_stride + p);
+        const __m512 yv = _mm512_load_ps(yb + r * y_stride + p);
+        acc[r] = _mm512_add_ps(acc[r], _mm512_mul_ps(xv, yv));
+      }
+    }
+    const size_t t = d - p;
+    if (t != 0) {
+      const __mmask16 m = static_cast<__mmask16>((1u << t) - 1u);
+#pragma GCC unroll 16
+      for (size_t r = 0; r < kW; ++r) {
+        const __m512 xv = _mm512_maskz_loadu_ps(m, xb + r * x_stride + p);
+        const __m512 yv = _mm512_maskz_loadu_ps(m, yb + r * y_stride + p);
+        acc[r] = _mm512_add_ps(acc[r], _mm512_mul_ps(xv, yv));
+      }
+    }
+    const __m512 s =
+        seed != nullptr ? _mm512_loadu_ps(seed + i) : _mm512_setzero_ps();
+    _mm512_storeu_ps(out + i, BlockLaneSum(acc, s));
+  }
+  for (; i < hi; ++i) {
     out[i] = RowDotOne(x + i * x_stride, y + i * y_stride, d,
                        seed != nullptr ? seed[i] : 0.0f);
   }
