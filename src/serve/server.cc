@@ -30,6 +30,42 @@ void EmitRanked(const float* scores, const std::vector<uint32_t>& top,
   }
 }
 
+// Answers a malformed request: InvalidArgument and no items. Rejection
+// is the error path, so building the message may allocate.
+void Reject(const char* why, Reply* reply) {
+  reply->status = Status::InvalidArgument(why);
+  reply->items.clear();
+  reply->scores.clear();
+}
+
+// Why `req`, to be served as `sc`, does not fit `index`, or nullptr when
+// it does. Checked against the snapshot the batch runs on, since a
+// Reload may shrink the catalog after the request was admitted.
+// PUP_HOT: one pass over the request's own id lists.
+const char* CheckItemIds(const ServingIndex& index, const Request& req,
+                         Scenario sc) {
+  const size_t n = index.num_items();
+  if (sc == Scenario::kRerank) {
+    if (req.candidates == nullptr || req.candidates->empty()) {
+      return "kRerank request without candidates";
+    }
+    const std::vector<uint32_t>& cand = *req.candidates;
+    for (size_t j = 0; j < cand.size(); ++j) {
+      if (cand[j] >= n) return "candidate item id out of range";
+      if (j > 0 && cand[j] <= cand[j - 1]) {
+        return "candidates must be sorted ascending and unique";
+      }
+    }
+    return nullptr;
+  }
+  if (req.exclude != nullptr) {
+    for (uint32_t id : *req.exclude) {
+      if (id >= n) return "excluded item id out of range";
+    }
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 RequestContext::RequestContext(const Server& server) {
@@ -103,14 +139,25 @@ void Server::Reload(std::shared_ptr<const ServingIndex> index) {
 // PUP_HOT: the serving request loop — no allocation in steady state; the
 // only waits are the batching monitor and the serialized batch execution.
 void Server::Rank(const Request& req, RequestContext* ctx, Reply* reply) {
-  PUP_CHECK_MSG(req.k >= 1 && req.k <= options_.max_k,
-                "request k outside [1, max_k]");
   requests_->Add(1);
   reply->cache_hit = false;
+  const char* bad = nullptr;
+  if (req.k < 1 || req.k > options_.max_k) {
+    bad = "request k outside [1, max_k]";
+  } else if (req.scenario != Scenario::kFullRanking &&
+             req.scenario != Scenario::kRerank &&
+             req.scenario != Scenario::kColdStart) {
+    bad = "unknown request scenario";
+  }
+  if (bad != nullptr) {
+    Reject(bad, reply);
+    return;
+  }
   if (cache_ != nullptr && req.scenario == Scenario::kFullRanking) {
     if (cache_->Lookup(req.user, req.k,
                        generation_.load(std::memory_order_relaxed),
                        &reply->items, &reply->scores)) {
+      reply->status = Status::OK();
       reply->served = Scenario::kFullRanking;
       reply->cache_hit = true;
       cache_hits_->Add(1);
@@ -157,8 +204,9 @@ void Server::Rank(const Request& req, RequestContext* ctx, Reply* reply) {
   cv_.notify_all();
 }
 
-// PUP_HOT: scores one claimed micro-batch — one batched GEMM for the
-// full-ranking rows, per-request subset/prior scoring for the rest.
+// PUP_HOT: scores one claimed micro-batch — one ScoreItemsForUsers call
+// for the full-ranking rows, per-request subset/prior scoring for the
+// rest.
 void Server::ExecuteBatch(const ServingIndex& index, uint64_t generation,
                           RequestContext* ctx) {
   obs::ScopedTimer span(batch_timer_, "serve/batch");
@@ -176,8 +224,15 @@ void Server::ExecuteBatch(const ServingIndex& index, uint64_t generation,
       sc = Scenario::kColdStart;
     }
     s->served = sc;
+    // A rider whose ids do not fit this snapshot is answered before any
+    // scoring; the rest of the batch is served as if it were absent.
+    if (const char* bad = CheckItemIds(index, *s->req, sc)) {
+      s->rejected = true;
+      Reject(bad, s->reply);
+      continue;
+    }
     // Quantized indexes take the fastscan + re-rank path per request
-    // (the scan is a memory-bound integer pass, not a batched GEMM).
+    // (the scan is a memory-bound integer pass, not a batched f32 dot).
     if (sc == Scenario::kFullRanking && !index.quantized()) {
       // NOLINTNEXTLINE(pup-hot-alloc): <= max_batch entries, Reserve'd.
       ctx->full_rows_.push_back(static_cast<uint32_t>(i));
@@ -199,6 +254,7 @@ void Server::ExecuteBatch(const ServingIndex& index, uint64_t generation,
     }
   }
   for (Slot* s : ctx->batch_) {
+    if (s->rejected) continue;
     if (s->served == Scenario::kFullRanking && index.quantized()) {
       ServeFullRankingQuantized(index, generation, *s->req, s->reply, ctx);
     } else if (s->served == Scenario::kRerank) {
@@ -206,6 +262,7 @@ void Server::ExecuteBatch(const ServingIndex& index, uint64_t generation,
     } else if (s->served == Scenario::kColdStart) {
       ServePrior(index, *s->req, s->reply, ctx);
     }
+    s->reply->status = Status::OK();
     s->reply->served = s->served;
   }
 }
@@ -236,10 +293,7 @@ void Server::ServeFullRankingQuantized(const ServingIndex& index,
   PUP_OBS_SCOPED_TIMER("serve/quant/post_scan");
   float* approx = ctx->scratch_scores_.data();
   if (req.exclude != nullptr) {
-    for (uint32_t id : *req.exclude) {
-      PUP_CHECK_MSG(id < n, "excluded item id out of range");
-      approx[id] = kNegInf;
-    }
+    for (uint32_t id : *req.exclude) approx[id] = kNegInf;
   }
   const size_t budget = options_.rerank_factor * static_cast<size_t>(req.k);
   {
@@ -279,10 +333,7 @@ void Server::ServeFullRanking(const ServingIndex& index, uint64_t generation,
                               RequestContext* ctx) {
   const size_t n = index.num_items();
   if (req.exclude != nullptr) {
-    for (uint32_t id : *req.exclude) {
-      PUP_CHECK_MSG(id < n, "excluded item id out of range");
-      scores[id] = kNegInf;
-    }
+    for (uint32_t id : *req.exclude) scores[id] = kNegInf;
   }
   ctx->selector_.Select(scores, n, req.k, &ctx->topk_);
   EmitRanked(scores, ctx->topk_, nullptr, reply);
@@ -291,22 +342,13 @@ void Server::ServeFullRanking(const ServingIndex& index, uint64_t generation,
   }
 }
 
-// PUP_HOT: candidate re-rank. The pool must be sorted ascending and
-// unique, so selecting by pool position breaks ties exactly like the
-// full ranking breaks them by item id — rerank results are the full
+// PUP_HOT: candidate re-rank. The pool is sorted ascending and unique
+// (CheckItemIds), so selecting by pool position breaks ties exactly like
+// the full ranking breaks them by item id — rerank results are the full
 // ranking restricted to the pool, bitwise.
 void Server::ServeSubset(const ServingIndex& index, const Request& req,
                          Reply* reply, RequestContext* ctx) {
-  PUP_CHECK_MSG(req.candidates != nullptr && !req.candidates->empty(),
-                "kRerank request without candidates");
   const std::vector<uint32_t>& cand = *req.candidates;
-  const size_t n = index.num_items();
-  PUP_CHECK_MSG(cand.size() <= n, "candidate pool larger than catalog");
-  for (size_t j = 0; j < cand.size(); ++j) {
-    PUP_CHECK_MSG(cand[j] < n, "candidate item id out of range");
-    PUP_CHECK_MSG(j == 0 || cand[j] > cand[j - 1],
-                  "candidates must be sorted ascending and unique");
-  }
   // NOLINTNEXTLINE(pup-hot-alloc): <= num_items floats, Reserve'd buffer.
   ctx->scratch_scores_.resize(cand.size());
   if (req.user < index.num_users()) {
@@ -332,10 +374,7 @@ void Server::ServePrior(const ServingIndex& index, const Request& req,
   // NOLINTNEXTLINE(pup-hot-alloc): <= num_items floats, Reserve'd buffer.
   ctx->scratch_scores_.assign(prior.begin(), prior.end());
   if (req.exclude != nullptr) {
-    for (uint32_t id : *req.exclude) {
-      PUP_CHECK_MSG(id < prior.size(), "excluded item id out of range");
-      ctx->scratch_scores_[id] = kNegInf;
-    }
+    for (uint32_t id : *req.exclude) ctx->scratch_scores_[id] = kNegInf;
   }
   ctx->selector_.Select(ctx->scratch_scores_.data(), prior.size(), req.k,
                         &ctx->topk_);

@@ -3,11 +3,14 @@
 // A Server answers synchronous top-K requests over a frozen ServingIndex
 // with cross-user micro-batching: the first thread to arrive at an empty
 // batch becomes the leader, waits up to batch_timeout_us for up to
-// max_batch companions, scores the whole batch as one batched GEMM over
-// the shared item table, and completes every rider's reply. Batch
-// execution is serialized, so under load the next leader naturally
-// collects everything that queued meanwhile — occupancy grows with
-// pressure instead of with configuration.
+// max_batch companions, scores the whole batch with one
+// la::ScoreItemsForUsers call — item tiles outer, users inner, so the
+// item table is read from memory once per batch — and completes every
+// rider's reply. Batch execution is serialized, but a leader claims its
+// batch before it waits for execution, so under load the next batch
+// holds only what queued while the previous leader was forming its
+// own; occupancy grows with pressure, though not reliably to max_batch
+// (docs/serving.md).
 //
 // Determinism contract (docs/serving.md): for a fixed index and SIMD
 // backend, the reply for a request is a pure function of the request —
@@ -22,7 +25,7 @@
 // int8/int4 table, full rankings run as an exact-int32 fastscan over the
 // code table, take the top rerank_factor * k survivors by approximate
 // score, and re-rank the survivors at f32 through a pinned-16-lane dot.
-// That path carries a STRONGER determinism contract than the f32 GEMM:
+// That path carries a STRONGER determinism contract than the f32 dot:
 // the reply is bitwise-identical across SIMD backends too, not just per
 // backend.
 //
@@ -39,6 +42,7 @@
 #include <mutex>
 #include <vector>
 
+#include "common/status.h"
 #include "eval/topk.h"
 #include "la/matrix.h"
 #include "obs/registry.h"
@@ -57,23 +61,29 @@ enum class Scenario : uint8_t {
   kColdStart = 2,
 };
 
-/// One ranking request. Borrowed pointers must outlive the Rank call.
+/// One ranking request. Borrowed pointers must outlive the Rank call. A
+/// request that breaks a rule below gets an InvalidArgument reply.
 struct Request {
   uint32_t user = 0;
   /// Result size; must be in [1, ServerOptions::max_k].
   uint32_t k = 10;
   Scenario scenario = Scenario::kFullRanking;
-  /// Candidate pool for kRerank: sorted ascending, unique, ids <
-  /// num_items. Required for kRerank, ignored otherwise.
+  /// Candidate pool for kRerank: non-empty, sorted ascending, unique, ids
+  /// < num_items. Required for kRerank, ignored otherwise.
   const std::vector<uint32_t>* candidates = nullptr;
-  /// Item ids to exclude (the user's seen items): sorted ascending, ids <
-  /// num_items. Optional; applies to kFullRanking and kColdStart.
+  /// Item ids to exclude (the user's seen items), ids < num_items.
+  /// Optional; applies to kFullRanking and kColdStart.
   const std::vector<uint32_t>* exclude = nullptr;
 };
 
 /// A served ranking, best first. May hold fewer than k items when the
 /// catalog (minus exclusions / candidates) runs out.
 struct Reply {
+  /// OK for a served request. InvalidArgument for a malformed one (k
+  /// outside [1, max_k], an unknown scenario, an exclude or candidate id
+  /// outside the catalog, or an unsorted, duplicated or missing candidate
+  /// pool); such a reply has no items and is never cached.
+  Status status;
   std::vector<uint32_t> items;
   std::vector<float> scores;
   /// Scenario actually served (kColdStart for unknown-user fallback).
@@ -88,7 +98,8 @@ struct Reply {
 };
 
 struct ServerOptions {
-  /// Largest micro-batch one GEMM scores; 1 disables cross-user batching.
+  /// Largest micro-batch one scoring pass covers; 1 disables cross-user
+  /// batching.
   size_t max_batch = 32;
   /// How long a batch leader waits for companions before firing (0 =
   /// fire immediately; occupancy then comes from natural queueing only).
@@ -119,11 +130,12 @@ class RequestContext {
     const Request* req = nullptr;
     Reply* reply = nullptr;
     Scenario served = Scenario::kFullRanking;
+    bool rejected = false;  ///< Does not fit the batch's index snapshot.
     bool done = false;
   };
 
   std::vector<Slot*> batch_;        ///< Claimed batch (leader only).
-  std::vector<uint32_t> full_rows_; ///< batch_ positions scored by GEMM.
+  std::vector<uint32_t> full_rows_; ///< batch_ positions scored batched.
   la::Matrix batch_users_;          ///< (<= max_batch, dim) staging.
   la::Matrix batch_scores_;         ///< (<= max_batch, num_items) scores.
   std::vector<float> scratch_scores_;  ///< Subset / prior scoring buffer.
@@ -145,8 +157,11 @@ class Server {
   Server(std::shared_ptr<const ServingIndex> index, ServerOptions options);
 
   /// Ranks synchronously; may coalesce with concurrent callers into one
-  /// batched GEMM. `ctx` must not be shared between threads; `reply`
-  /// should be Reserve'd to max_k by the caller once.
+  /// batched scoring pass. `ctx` must not be shared between threads;
+  /// `reply` should be Reserve'd to max_k by the caller once. A malformed
+  /// request sets reply->status to InvalidArgument and never aborts;
+  /// k and the scenario are checked on admission, item ids against the
+  /// snapshot the request's batch runs on.
   void Rank(const Request& req, RequestContext* ctx, Reply* reply);
 
   /// Swaps in a freshly loaded index, bumps the generation, and

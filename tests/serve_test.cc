@@ -42,9 +42,11 @@ namespace {
 
 constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 
-data::Dataset SmallDataset(uint64_t seed = 7) {
-  data::SyntheticConfig config = data::SyntheticConfig::YelpLike().Scaled(0.1);
-  config.num_interactions = 4000;
+data::Dataset SmallDataset(uint64_t seed = 7, double scale = 0.1,
+                           size_t interactions = 4000) {
+  data::SyntheticConfig config =
+      data::SyntheticConfig::YelpLike().Scaled(scale);
+  config.num_interactions = interactions;
   config.seed = seed;
   data::Dataset ds = data::GenerateSynthetic(config);
   EXPECT_TRUE(
@@ -502,6 +504,174 @@ TEST(ServeBehaviorTest, UnknownUserFallsBackToColdStartDeterministically) {
   const Ranked ref = ReferenceRank(index->cold_start_prior(), k, nullptr);
   EXPECT_EQ(first.items, ref.items);
   EXPECT_EQ(first.scores, ref.scores);
+}
+
+// ---------------------------------------------------------------------------
+// Malformed requests
+// ---------------------------------------------------------------------------
+
+Request MakeRequest(uint32_t user, uint32_t k, Scenario scenario,
+                    const std::vector<uint32_t>* candidates,
+                    const std::vector<uint32_t>* exclude) {
+  Request req;
+  req.user = user;
+  req.k = k;
+  req.scenario = scenario;
+  req.candidates = candidates;
+  req.exclude = exclude;
+  return req;
+}
+
+// Every malformed kind gets InvalidArgument and no items instead of
+// aborting the process, and the valid requests that share its batches
+// are served bitwise as if it were absent — on the f32 path and on the
+// quantized one.
+TEST(ServeBehaviorTest, MalformedRequestsGetInvalidArgumentAndSpareTheirBatch) {
+  data::Dataset ds = SmallDataset();
+  auto f32 = MakeIndex(ds);
+  Result<ServingIndex> quantized = f32->WithQuant(la::QuantMode::kInt8);
+  ASSERT_TRUE(quantized.ok()) << quantized.status().ToString();
+  auto int8 =
+      std::make_shared<const ServingIndex>(std::move(quantized).value());
+  const uint32_t k = 10;
+  const uint32_t n = static_cast<uint32_t>(f32->num_items());
+  const uint32_t cold_user = static_cast<uint32_t>(f32->num_users()) + 5;
+  const std::vector<std::vector<uint32_t>> exclude = ds.UserItemLists();
+  const std::vector<uint32_t> pool = {2, 5, 9, 30, 31};
+  const std::vector<uint32_t> ids_out = {1, n};
+  const std::vector<uint32_t> pool_out = {2, n};
+  const std::vector<uint32_t> pool_unsorted = {5, 2, 9};
+  const std::vector<uint32_t> pool_duplicate = {2, 5, 5};
+  const std::vector<uint32_t> pool_empty;
+
+  const std::vector<Request> bad = {
+      MakeRequest(0, 0, Scenario::kFullRanking, nullptr, nullptr),
+      MakeRequest(0, k + 1, Scenario::kFullRanking, nullptr, nullptr),
+      MakeRequest(0, k, static_cast<Scenario>(7), nullptr, nullptr),
+      MakeRequest(0, k, Scenario::kFullRanking, nullptr, &ids_out),
+      MakeRequest(cold_user, k, Scenario::kFullRanking, nullptr, &ids_out),
+      MakeRequest(0, k, Scenario::kColdStart, nullptr, &ids_out),
+      MakeRequest(0, k, Scenario::kRerank, nullptr, nullptr),
+      MakeRequest(0, k, Scenario::kRerank, &pool_empty, nullptr),
+      MakeRequest(0, k, Scenario::kRerank, &pool_out, nullptr),
+      MakeRequest(0, k, Scenario::kRerank, &pool_unsorted, nullptr),
+      MakeRequest(0, k, Scenario::kRerank, &pool_duplicate, nullptr),
+  };
+  std::vector<Request> good;
+  for (uint32_t u = 0; u < 8; ++u) {
+    good.push_back(
+        MakeRequest(u, k, Scenario::kFullRanking, nullptr, &exclude[u]));
+  }
+  good.push_back(MakeRequest(3, k, Scenario::kRerank, &pool, nullptr));
+  good.push_back(
+      MakeRequest(cold_user, k, Scenario::kFullRanking, nullptr, nullptr));
+  good.push_back(
+      MakeRequest(1, k, Scenario::kColdStart, nullptr, &exclude[1]));
+  // Bad and good requests alternate, so every bad one that reaches a
+  // batch shares it with a good one.
+  std::vector<std::pair<const Request*, size_t>> sequence;
+  for (size_t i = 0; i < good.size(); ++i) {
+    sequence.emplace_back(&good[i], i);
+    if (i < bad.size()) sequence.emplace_back(&bad[i], SIZE_MAX);
+  }
+
+  for (const auto& index : {f32, int8}) {
+    // References: each good request served alone on its own server.
+    ServerOptions alone_opt;
+    alone_opt.max_batch = 1;
+    alone_opt.max_k = k;
+    Server alone(index, alone_opt);
+    RequestContext alone_ctx(alone);
+    std::vector<Ranked> refs(good.size());
+    for (size_t i = 0; i < good.size(); ++i) {
+      Reply reply;
+      alone.Rank(good[i], &alone_ctx, &reply);
+      ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
+      refs[i] = {reply.items, reply.scores};
+    }
+    if (!index->quantized()) {
+      // On the f32 path the served-alone rankings are the eval ones.
+      for (uint32_t u = 0; u < 8; ++u) {
+        EXPECT_EQ(refs[u], EvalReference(*index, u, k, &exclude[u]));
+      }
+    }
+
+    ServerOptions opt;
+    opt.max_batch = 2;
+    opt.batch_timeout_us = 10000;  // Two clients: wait for the partner.
+    opt.max_k = k;
+    Server server(index, opt);
+    obs::Registry& reg = obs::Registry::Global();
+    const uint64_t batches_before = reg.GetCounter("serve/batches")->Get();
+    std::atomic<size_t> wrong{0};
+    std::atomic<size_t> batched{0};
+    std::vector<std::thread> clients;
+    for (int t = 0; t < 2; ++t) {
+      clients.emplace_back([&] {
+        RequestContext ctx(server);
+        Reply reply;
+        reply.Reserve(k);
+        for (int round = 0; round < 3; ++round) {
+          for (const auto& [req, ref] : sequence) {
+            // The reply still holds the previous ranking; a rejection
+            // must clear it.
+            server.Rank(*req, &ctx, &reply);
+            const bool admitted = req->k >= 1 && req->k <= k &&
+                                  static_cast<uint8_t>(req->scenario) <= 2;
+            if (admitted) batched.fetch_add(1, std::memory_order_relaxed);
+            bool ok = false;
+            if (ref == SIZE_MAX) {
+              ok = reply.status.code() == StatusCode::kInvalidArgument &&
+                   reply.items.empty() && reply.scores.empty();
+            } else {
+              ok = reply.status.ok() && reply.items == refs[ref].items &&
+                   reply.scores == refs[ref].scores;
+            }
+            if (!ok) wrong.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      });
+    }
+    for (std::thread& c : clients) c.join();
+    EXPECT_EQ(wrong.load(), 0u) << "quantized=" << index->quantized();
+    // Admitted requests shared batches.
+    EXPECT_LT(reg.GetCounter("serve/batches")->Get() - batches_before,
+              batched.load());
+  }
+
+  // A rejected request is never cached, and ids are checked against the
+  // snapshot a batch runs on: after a Reload to a smaller catalog, an id
+  // that fit the old one is rejected.
+  ServerOptions opt;
+  opt.max_batch = 1;
+  opt.cache_capacity = 16;
+  opt.max_k = k;
+  Server server(f32, opt);
+  RequestContext ctx(server);
+  Reply reply;
+  reply.Reserve(k);
+  server.Rank(bad[3], &ctx, &reply);
+  EXPECT_EQ(reply.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(server.cache()->size(), 0u);
+
+  auto small = MakeIndex(SmallDataset(7, 0.05, 2000));
+  const uint32_t small_n = static_cast<uint32_t>(small->num_items());
+  ASSERT_LT(small_n, n);
+  const std::vector<uint32_t> fits_old_only = {small_n};
+  const Request excl =
+      MakeRequest(0, k, Scenario::kFullRanking, nullptr, &fits_old_only);
+  const Request rerank =
+      MakeRequest(0, k, Scenario::kRerank, &fits_old_only, nullptr);
+  for (const Request* req : {&excl, &rerank}) {
+    server.Rank(*req, &ctx, &reply);
+    EXPECT_TRUE(reply.status.ok()) << reply.status.ToString();
+  }
+  server.Reload(small);
+  for (const Request* req : {&excl, &rerank}) {
+    server.Rank(*req, &ctx, &reply);
+    EXPECT_EQ(reply.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(reply.items.empty());
+  }
 }
 
 // ---------------------------------------------------------------------------
