@@ -28,26 +28,43 @@ struct TopKScratch {
   std::vector<uint32_t> top;
 };
 
+// The cutoffs once each: a repeated cutoff names one metric.
+std::vector<int> DistinctCutoffs(const std::vector<int>& cutoffs) {
+  std::vector<int> ks = cutoffs;
+  std::sort(ks.begin(), ks.end());
+  ks.erase(std::unique(ks.begin(), ks.end()), ks.end());
+  return ks;
+}
+
 // Core per-user update shared by both evaluation modes. `scores` already
-// has non-candidates masked to -inf.
+// has non-candidates masked to -inf. One selection at the largest cutoff
+// serves them all: the strict (score desc, id asc) order makes every
+// top-k a prefix of the top-K, so each cutoff scores its own prefix.
 void AccumulateUser(const std::vector<float>& scores,
-                    const std::vector<uint32_t>& test, int k,
-                    TopKScratch* scratch, Accumulator* acc) {
-  scratch->selector.Select(scores.data(), scores.size(),
-                           static_cast<size_t>(k), &scratch->top);
+                    const std::vector<uint32_t>& test,
+                    const std::vector<int>& ks, TopKScratch* scratch,
+                    std::map<int, Accumulator>* acc) {
+  size_t max_k = 0;
+  for (int k : ks) max_k = std::max(max_k, static_cast<size_t>(k));
+  scratch->selector.Select(scores.data(), scores.size(), max_k,
+                           &scratch->top);
   const std::vector<uint32_t>& top = scratch->top;
-  int hits = 0;
-  double dcg = 0.0;
-  for (size_t pos = 0; pos < top.size(); ++pos) {
-    if (scores[top[pos]] == kNegInf) break;  // Only masked items remain.
-    if (std::binary_search(test.begin(), test.end(), top[pos])) {
-      ++hits;
-      dcg += 1.0 / std::log2(static_cast<double>(pos) + 2.0);
+  for (int k : ks) {
+    const size_t len = std::min(top.size(), static_cast<size_t>(k));
+    int hits = 0;
+    double dcg = 0.0;
+    for (size_t pos = 0; pos < len; ++pos) {
+      if (scores[top[pos]] == kNegInf) break;  // Only masked items remain.
+      if (std::binary_search(test.begin(), test.end(), top[pos])) {
+        ++hits;
+        dcg += 1.0 / std::log2(static_cast<double>(pos) + 2.0);
+      }
     }
+    Accumulator& a = (*acc)[k];
+    a.recall_sum += static_cast<double>(hits) / test.size();
+    double idcg = IdealDcg(test.size(), k);
+    a.ndcg_sum += idcg > 0.0 ? dcg / idcg : 0.0;
   }
-  acc->recall_sum += static_cast<double>(hits) / test.size();
-  double idcg = IdealDcg(test.size(), k);
-  acc->ndcg_sum += idcg > 0.0 ? dcg / idcg : 0.0;
 }
 
 // Users per ParallelFor chunk. Fixed (not a function of the pool size)
@@ -63,7 +80,8 @@ struct ChunkAccumulator {
   size_t evaluated = 0;
 };
 
-// Combines per-chunk partials in chunk order into the final result.
+// Combines per-chunk partials in chunk order into the final result;
+// `cutoffs` are distinct.
 EvalResult CombineChunks(const std::vector<ChunkAccumulator>& partial,
                          const std::vector<int>& cutoffs) {
   size_t evaluated = 0;
@@ -120,6 +138,7 @@ EvalResult EvaluateRanking(
   PUP_CHECK_EQ(exclude_items.size(), num_users);
   PUP_CHECK_EQ(test_items.size(), num_users);
   PUP_OBS_SCOPED_TIMER("eval/full_ranking");
+  const std::vector<int> ks = DistinctCutoffs(cutoffs);
   const size_t num_chunks =
       (num_users + kUsersPerChunk - 1) / kUsersPerChunk;
   std::vector<ChunkAccumulator> partial(num_chunks);
@@ -137,13 +156,11 @@ EvalResult EvaluateRanking(
       scorer.ScoreItems(static_cast<uint32_t>(u), &scores);
       PUP_CHECK_EQ(scores.size(), num_items);
       for (uint32_t item : exclude_items[u]) scores[item] = kNegInf;
-      for (int k : cutoffs) {
-        AccumulateUser(scores, test, k, &scratch, &ca->acc[k]);
-      }
+      AccumulateUser(scores, test, ks, &scratch, &ca->acc);
     }
     PUP_OBS_COUNT("eval/users_evaluated", ca->evaluated);
   });
-  return CombineChunks(partial, cutoffs);
+  return CombineChunks(partial, ks);
 }
 
 EvalResult EvaluateRankingWithCandidates(
@@ -153,6 +170,7 @@ EvalResult EvaluateRankingWithCandidates(
     const std::vector<int>& cutoffs) {
   PUP_CHECK_EQ(candidates.size(), test_items.size());
   PUP_OBS_SCOPED_TIMER("eval/candidate_ranking");
+  const std::vector<int> ks = DistinctCutoffs(cutoffs);
   const size_t num_users = candidates.size();
   const size_t num_chunks =
       (num_users + kUsersPerChunk - 1) / kUsersPerChunk;
@@ -180,13 +198,11 @@ EvalResult EvaluateRankingWithCandidates(
       for (uint32_t item : candidates[u]) {
         masked[item] = scores[item];
       }
-      for (int k : cutoffs) {
-        AccumulateUser(masked, test, k, &scratch, &ca->acc[k]);
-      }
+      AccumulateUser(masked, test, ks, &scratch, &ca->acc);
     }
     PUP_OBS_COUNT("eval/users_evaluated", ca->evaluated);
   });
-  return CombineChunks(partial, cutoffs);
+  return CombineChunks(partial, ks);
 }
 
 }  // namespace pup::eval

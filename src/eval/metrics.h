@@ -48,7 +48,9 @@ struct EvalResult {
 ///
 /// `exclude_items[u]` (typically the user's train items, sorted) are
 /// removed from u's candidate set; `test_items[u]` (sorted) are the
-/// positives. Users with empty test sets are skipped.
+/// positives. Users with empty test sets are skipped. `cutoffs` may come
+/// in any order and repeat: each distinct cutoff is reported once, from
+/// one top-K selection per user at the largest of them.
 EvalResult EvaluateRanking(
     const Scorer& scorer, size_t num_users, size_t num_items,
     const std::vector<std::vector<uint32_t>>& exclude_items,

@@ -202,6 +202,57 @@ TEST(EvaluateWithCandidatesTest, SkipsEmptyTasks) {
   EXPECT_EQ(result.num_users_evaluated, 1u);  // Only user 2 active.
 }
 
+// Both evaluators select once per user at the largest cutoff and score
+// every cutoff on its prefix. Each cutoff's metrics must equal a
+// single-cutoff evaluation bitwise, also when the list is unsorted,
+// repeats a cutoff, or asks for more items than the catalog holds.
+TEST(EvaluateRankingTest, EveryCutoffEqualsItsOwnSingleCutoffCall) {
+  constexpr size_t kUsers = 40, kItems = 150;
+  Rng rng(11);
+  std::vector<std::vector<float>> table(kUsers, std::vector<float>(kItems));
+  std::vector<std::vector<uint32_t>> exclude(kUsers);
+  std::vector<std::vector<uint32_t>> test(kUsers);
+  std::vector<std::vector<uint32_t>> candidates(kUsers);
+  for (size_t u = 0; u < kUsers; ++u) {
+    for (size_t i = 0; i < kItems; ++i) {
+      // Coarse scores, so ties reach every cutoff.
+      table[u][i] = static_cast<float>(rng.NextBelow(20));
+      const uint64_t role = rng.NextBelow(10);
+      if (role == 0) exclude[u].push_back(static_cast<uint32_t>(i));
+      if (role == 1) test[u].push_back(static_cast<uint32_t>(i));
+      if (role != 0 && role < 6) {
+        candidates[u].push_back(static_cast<uint32_t>(i));
+      }
+    }
+  }
+  FixedScorer scorer(std::move(table));
+  const std::vector<int> sorted = {10, 50, 100};
+  const std::vector<int> unsorted = {100, 5, 50, 5, 400};
+  for (const std::vector<int>& cutoffs : {sorted, unsorted}) {
+    const EvalResult full =
+        EvaluateRanking(scorer, kUsers, kItems, exclude, test, cutoffs);
+    const EvalResult cand =
+        EvaluateRankingWithCandidates(scorer, candidates, test, cutoffs);
+    for (int k : cutoffs) {
+      const EvalResult one_full =
+          EvaluateRanking(scorer, kUsers, kItems, exclude, test, {k});
+      const EvalResult one_cand =
+          EvaluateRankingWithCandidates(scorer, candidates, test, {k});
+      EXPECT_EQ(full.num_users_evaluated, one_full.num_users_evaluated);
+      EXPECT_EQ(full.At(k).recall, one_full.At(k).recall) << "k=" << k;
+      EXPECT_EQ(full.At(k).ndcg, one_full.At(k).ndcg) << "k=" << k;
+      EXPECT_EQ(cand.At(k).recall, one_cand.At(k).recall) << "k=" << k;
+      EXPECT_EQ(cand.At(k).ndcg, one_cand.At(k).ndcg) << "k=" << k;
+    }
+    std::vector<int> distinct = cutoffs;
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    EXPECT_EQ(full.at.size(), distinct.size());
+    EXPECT_EQ(cand.at.size(), distinct.size());
+  }
+}
+
 // Candidate ids must be validated in Release builds too — an
 // out-of-range id used to be a PUP_DCHECK, i.e. a silent out-of-bounds
 // read/write outside Debug. The check fires before any score is written.
