@@ -624,6 +624,48 @@ void BM_ScoreItemsF32Simd(benchmark::State& state) {
 }
 BENCHMARK(BM_ScoreItemsF32Simd)->Apply(SimdSweepArgs);
 
+// The serving batch kernel at the serve-f32 ledger shape: m users against
+// a 24,000 x 64 item table with a bias, on a one-thread pool like the
+// server's kernel pool. A batch reads the item table once, so
+// "us_per_user" should fall as m grows.
+void BM_ScoreItemsForUsersF32Simd(benchmark::State& state) {
+  const auto isa = static_cast<simd::Isa>(state.range(0));
+  const size_t m = static_cast<size_t>(state.range(1));
+  ScopedIsa pin(isa);
+  ThreadPool::SetGlobalThreads(1);
+  constexpr size_t kItems = 24000, kD = 64;
+  la::Matrix items = RandomMatrix(kItems, kD, 31);
+  la::Matrix users = RandomMatrix(m, kD, 33);
+  std::vector<float> bias(kItems, 0.1f);
+  la::Matrix out;
+  Stopwatch timer;
+  size_t iters = 0;
+  for (auto _ : state) {
+    la::ScoreItemsForUsers(items, users, bias.data(), &out);
+    benchmark::DoNotOptimize(out.data());
+    ++iters;
+  }
+  const double seconds = timer.Seconds();
+  state.counters["users"] = static_cast<double>(m);
+  state.counters["us_per_user"] =
+      1e6 * seconds / static_cast<double>(iters * m);
+  state.SetItemsProcessed(state.iterations() * m * kItems);
+  const std::string family = "score_users_f32_24000x64_m" + std::to_string(m);
+  RecordSimdSweep(state, family, isa, seconds, iters, 2.0 * m * kItems * kD);
+  ThreadPool::SetGlobalThreads(0);
+}
+
+// SimdSweepArgs for each batch size m in {1, 4, 16}.
+void SimdSweepBatchArgs(benchmark::internal::Benchmark* b) {
+  for (int m : {1, 4, 16}) {
+    b->Args({static_cast<int>(simd::Isa::kOff), m});
+    for (simd::Isa isa : {simd::Isa::kAvx2, simd::Isa::kAvx512}) {
+      if (simd::IsaSupported(isa)) b->Args({static_cast<int>(isa), m});
+    }
+  }
+}
+BENCHMARK(BM_ScoreItemsForUsersF32Simd)->Apply(SimdSweepBatchArgs);
+
 void QuantScoreBody(benchmark::State& state, la::QuantMode mode) {
   const auto isa = static_cast<simd::Isa>(state.range(0));
   ScopedIsa pin(isa);
