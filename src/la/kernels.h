@@ -118,8 +118,11 @@ void ScoreItemsForUser(const Matrix& items, const float* user,
 
 /// Batched form for micro-batched serving: out(r, i) = bias[i] +
 /// dot(items.Row(i), users.Row(r)). Shapes: (n,d) items,
-/// (m,d) users -> (m,n). Each output row is bitwise-equal to a
-/// ScoreItemsForUser call on that user alone, at any batch shape.
+/// (m,d) users -> (m,n). Item tiles outer, users inner: every user of
+/// the batch dots one 64-row item tile before the next is read, so a
+/// call reads each item row from memory once, not m times. Each output
+/// row is bitwise-equal to a ScoreItemsForUser call on that user alone,
+/// at any batch shape.
 void ScoreItemsForUsers(const Matrix& items, const Matrix& users,
                         const float* bias, Matrix* out);
 

@@ -19,10 +19,13 @@
 //    (RowDot, RowDotDiff, GemmTransB and the f32 ScoreItems* entries all
 //    call it), accumulates in W lane accumulators (tail elements enter as
 //    zero-padded lanes) and reduces them in pinned lane order 0..W-1,
-//    starting from the row's seed (0.0f when there is none). Scalar is
+//    starting from the row's seed (0.0f when there is none). Vector
+//    backends reduce W rows at once — a WxW transpose of their
+//    accumulators, then W vector adds in lane order onto the rows' seeds
+//    — which is each row's sequential lane sum, add for add. Scalar is
 //    the W = 1 case: the seed, then each product in element order.
-//    Bitwise-reproducible for a fixed lane width at any --threads, not
-//    bitwise-equal across lane widths.
+//    Bitwise-reproducible for a fixed lane width at any --threads and
+//    any row range split, not bitwise-equal across lane widths.
 //  * Approximate elementwise: sigmoid / tanh use polynomial / exp2
 //    approximations under a bounded-ULP contract on vector backends;
 //    the scalar backend keeps libm exactly.
@@ -73,6 +76,9 @@ struct Backend {
   // out[i] = seed[i] + dot(x row i, y row i, d) for i in [lo, hi), the
   // seed starting the accumulation (0.0f when `seed` is null). A zero
   // stride repeats one row: y_stride = 0 dots every x row with one y.
+  // Vector backends take the rows W at a time from lo (one transposed
+  // lane reduction per block) and the rest one by one; each out[i] is
+  // the same float whichever way [lo, hi) is split.
   void (*dot_rows)(const float* x, size_t x_stride, const float* y,
                    size_t y_stride, const float* seed, float* out, size_t lo,
                    size_t hi, size_t d);
