@@ -359,8 +359,11 @@ TEST(QuantKernelTest, ScoresBitwiseEqualAcrossBackendsAndThreads) {
   DispatchGuard guard;
   Rng rng(77);
   // Widths chosen to hit every kernel path: sub-vector (5), unaligned
-  // tails (29, 71), and an exact block multiple (64).
-  for (size_t d : {size_t{5}, size_t{29}, size_t{64}, size_t{71}}) {
+  // tails (29, 71), an exact block multiple (64), and rows wider than
+  // the vector kernels' 1,024-byte query staging buffer (2100: 2,112
+  // int8 bytes, 1,056 int4 bytes), which widen the query in the loop.
+  for (size_t d :
+       {size_t{5}, size_t{29}, size_t{64}, size_t{71}, size_t{2100}}) {
     la::Matrix src = la::Matrix::Gaussian(53, d, 1.2f, &rng);
     std::vector<float> user(d);
     for (float& v : user) v = rng.NextFloat() * 2.0f - 1.0f;
