@@ -39,7 +39,9 @@ bool IsaSupported(Isa isa) {
 #endif
     case Isa::kAvx512:
 #if defined(PUP_HAVE_AVX512)
-      return __builtin_cpu_supports("avx512f") != 0;
+      // Its quantized kernels are the AVX2 backend's.
+      return __builtin_cpu_supports("avx2") != 0 &&
+             __builtin_cpu_supports("avx512f") != 0;
 #else
       return false;
 #endif

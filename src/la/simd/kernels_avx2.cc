@@ -351,7 +351,8 @@ inline int32_t HSumI32(__m256i v) {
 // into a stack staging buffer (16 code bytes -> 16 int16 -> one aligned
 // 256-bit load per step in the row loop); rows wider than the staging
 // cap fall back to widening in the loop. Exact int32 accumulation is
-// associative, so the hoist cannot change any result.
+// associative, so the hoist cannot change any result. The AVX-512 table
+// runs these two scans and RerankDotRows as its own.
 constexpr size_t kQueryStageBytes = 1024;
 
 void QdotI8Rows(const uint8_t* codes, size_t stride, size_t bytes,

@@ -1,18 +1,19 @@
 // AVX-512 backend: 16-float lanes. Compiled with -mavx512f
-// -ffp-contract=off (only this file), omitted when PUP_HAVE_AVX512 is
-// off. Mirrors kernels_avx2.cc — see that file and docs/simd.md for the
-// determinism notes; the only structural differences are the lane width,
-// the use of predicate masks (__mmask16) for tails, and the 16-row block
-// of DotRows (a 16x16 transpose instead of 8x8). The lane reduction is
-// always sequential in lane order 0..15, never _mm512_reduce_add_ps,
-// whose tree order is not the pinned one.
+// -ffp-contract=off (only this file), and built only beside the AVX2
+// backend. Its f32 kernels mirror kernels_avx2.cc — see that file and
+// docs/simd.md for the determinism notes; the only structural
+// differences are the lane width, the use of predicate masks
+// (__mmask16) for tails, and the 16-row block of DotRows (a 16x16
+// transpose instead of 8x8). The lane reduction is always sequential in
+// lane order 0..15, never _mm512_reduce_add_ps, whose tree order is not
+// the pinned one. The quantized slots hold AVX2's entries: AVX-512F has
+// no 512-bit word multiply-add (that is AVX-512BW), and the re-rank
+// dot's pinned 16 virtual lanes give the same bits at any width.
 #if defined(PUP_HAVE_AVX512)
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cmath>
-#include <cstdint>
 
 #include "la/simd/backend.h"
 #include "la/simd/simd_math.h"
@@ -314,163 +315,6 @@ size_t FindNonFinite(const float* x, size_t n) {
   return n;
 }
 
-// Quantized fastscan. The build targets AVX-512F only (no BW), so there
-// are no 512-bit byte/word ops; the best integer MAC available is the
-// 256-bit vpmaddwd (AVX2, implied by -mavx512f), which beats the
-// F-level vpmulld formulation (vpmulld is multi-uop on most cores and
-// widening to int32 lanes halves the elements per instruction). The
-// row-invariant query is widened to int16 once per block into a stack
-// staging buffer; rows wider than the cap fall back to widening in the
-// loop. Exact int32 arithmetic — any reorganisation is result-neutral,
-// so _mm512_reduce_add_epi32-style shortcuts and the hoist are both
-// safe here (unlike the f32 reductions above).
-constexpr size_t kQueryStageBytes = 1024;
-
-// Exact int32 horizontal sum; order is irrelevant because integer
-// addition is associative (the quantized-path determinism argument).
-inline int32_t HSumI32x8(__m256i v) {
-  alignas(32) int32_t lanes[8];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), v);
-  int32_t s = 0;
-  for (size_t l = 0; l < 8; ++l) s += lanes[l];
-  return s;
-}
-
-void QdotI8Rows(const uint8_t* codes, size_t stride, size_t bytes,
-                const int8_t* query, int32_t* out, size_t lo, size_t hi) {
-  alignas(32) int16_t wq[kQueryStageBytes];
-  if (bytes <= kQueryStageBytes) {
-    for (size_t b = 0; b < bytes; b += 16) {
-      _mm256_store_si256(
-          reinterpret_cast<__m256i*>(wq + b),
-          _mm256_cvtepi8_epi16(
-              _mm_loadu_si128(reinterpret_cast<const __m128i*>(query + b))));
-    }
-    for (size_t i = lo; i < hi; ++i) {
-      const uint8_t* crow = codes + i * stride;
-      __m256i acc = _mm256_setzero_si256();
-      for (size_t b = 0; b < bytes; b += 16) {
-        const __m128i c =
-            _mm_load_si128(reinterpret_cast<const __m128i*>(crow + b));
-        acc = _mm256_add_epi32(
-            acc,
-            _mm256_madd_epi16(
-                _mm256_cvtepu8_epi16(c),
-                _mm256_load_si256(reinterpret_cast<const __m256i*>(wq + b))));
-      }
-      out[i] = HSumI32x8(acc);
-    }
-    return;
-  }
-  for (size_t i = lo; i < hi; ++i) {
-    const uint8_t* crow = codes + i * stride;
-    __m256i acc = _mm256_setzero_si256();
-    for (size_t b = 0; b < bytes; b += 16) {
-      const __m128i c =
-          _mm_load_si128(reinterpret_cast<const __m128i*>(crow + b));
-      const __m128i q =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(query + b));
-      acc = _mm256_add_epi32(
-          acc, _mm256_madd_epi16(_mm256_cvtepu8_epi16(c),
-                                 _mm256_cvtepi8_epi16(q)));
-    }
-    out[i] = HSumI32x8(acc);
-  }
-}
-
-void QdotI4Rows(const uint8_t* codes, size_t stride, size_t bytes,
-                const int8_t* query_even, const int8_t* query_odd,
-                int32_t* out, size_t lo, size_t hi) {
-  const __m128i low_mask = _mm_set1_epi8(0x0f);
-  alignas(32) int16_t we[kQueryStageBytes];
-  alignas(32) int16_t wo[kQueryStageBytes];
-  if (bytes <= kQueryStageBytes) {
-    for (size_t b = 0; b < bytes; b += 16) {
-      _mm256_store_si256(
-          reinterpret_cast<__m256i*>(we + b),
-          _mm256_cvtepi8_epi16(_mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(query_even + b))));
-      _mm256_store_si256(
-          reinterpret_cast<__m256i*>(wo + b),
-          _mm256_cvtepi8_epi16(_mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(query_odd + b))));
-    }
-    for (size_t i = lo; i < hi; ++i) {
-      const uint8_t* crow = codes + i * stride;
-      __m256i acc = _mm256_setzero_si256();
-      for (size_t b = 0; b < bytes; b += 16) {
-        const __m128i packed =
-            _mm_load_si128(reinterpret_cast<const __m128i*>(crow + b));
-        const __m128i clo = _mm_and_si128(packed, low_mask);
-        const __m128i chi =
-            _mm_and_si128(_mm_srli_epi16(packed, 4), low_mask);
-        acc = _mm256_add_epi32(
-            acc,
-            _mm256_madd_epi16(
-                _mm256_cvtepu8_epi16(clo),
-                _mm256_load_si256(reinterpret_cast<const __m256i*>(we + b))));
-        acc = _mm256_add_epi32(
-            acc,
-            _mm256_madd_epi16(
-                _mm256_cvtepu8_epi16(chi),
-                _mm256_load_si256(reinterpret_cast<const __m256i*>(wo + b))));
-      }
-      out[i] = HSumI32x8(acc);
-    }
-    return;
-  }
-  for (size_t i = lo; i < hi; ++i) {
-    const uint8_t* crow = codes + i * stride;
-    __m256i acc = _mm256_setzero_si256();
-    for (size_t b = 0; b < bytes; b += 16) {
-      const __m128i packed =
-          _mm_load_si128(reinterpret_cast<const __m128i*>(crow + b));
-      const __m128i clo = _mm_and_si128(packed, low_mask);
-      const __m128i chi = _mm_and_si128(_mm_srli_epi16(packed, 4), low_mask);
-      const __m128i qe =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(query_even + b));
-      const __m128i qo =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(query_odd + b));
-      acc = _mm256_add_epi32(
-          acc, _mm256_madd_epi16(_mm256_cvtepu8_epi16(clo),
-                                 _mm256_cvtepi8_epi16(qe)));
-      acc = _mm256_add_epi32(
-          acc, _mm256_madd_epi16(_mm256_cvtepu8_epi16(chi),
-                                 _mm256_cvtepi8_epi16(qo)));
-    }
-    out[i] = HSumI32x8(acc);
-  }
-}
-
-// Pinned-16-virtual-lane dot: here the virtual lanes ARE the hardware
-// lanes. The tail enters through a zero-masked load (dead lanes add
-// +0.0f) and the reduction is the sequential LaneSum, never
-// _mm512_reduce_add_ps — bitwise matching the scalar reference.
-void RerankDotRows(const float* items, size_t stride, const float* query,
-                   const uint32_t* ids, float* out, size_t lo, size_t hi,
-                   size_t d) {
-  for (size_t j = lo; j < hi; ++j) {
-    const float* row = items + static_cast<size_t>(ids[j]) * stride;
-    __m512 acc = _mm512_setzero_ps();
-    size_t p = 0;
-    for (; p + kW <= d; p += kW) {
-      // Rows are 64-byte aligned by the Matrix layout; the query is any
-      // caller buffer, so its loads are unaligned.
-      acc = _mm512_add_ps(
-          acc,
-          _mm512_mul_ps(_mm512_load_ps(row + p), _mm512_loadu_ps(query + p)));
-    }
-    const size_t t = d - p;
-    if (t != 0) {
-      const __mmask16 m = static_cast<__mmask16>((1u << t) - 1u);
-      acc = _mm512_add_ps(acc,
-                          _mm512_mul_ps(_mm512_maskz_loadu_ps(m, row + p),
-                                        _mm512_maskz_loadu_ps(m, query + p)));
-    }
-    out[j] = LaneSum(acc, 0.0f);
-  }
-}
-
 }  // namespace
 
 const Backend& Avx512Backend() {
@@ -486,9 +330,9 @@ const Backend& Avx512Backend() {
       &Sigmoid,
       &Tanh,
       &FindNonFinite,
-      &QdotI8Rows,
-      &QdotI4Rows,
-      &RerankDotRows,
+      Avx2Backend().qdot_i8_rows,
+      Avx2Backend().qdot_i4_rows,
+      Avx2Backend().rerank_dot_rows,
   };
   return table;
 }
