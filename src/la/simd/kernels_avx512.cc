@@ -23,6 +23,14 @@ namespace {
 
 constexpr size_t kW = 16;
 
+// All-ones masks. An intrinsic whose plain form passes an undefined
+// vector as the masked-off source is written in its masked form with
+// one of these: GCC 12 reports the undefined source as maybe-
+// uninitialized once inlined here, and both forms compile to the same
+// unmasked instruction.
+constexpr __mmask16 kAll = 0xFFFF;
+constexpr __mmask8 kAllPd = 0xFF;
+
 // Pinned-order lane reduction: lanes 0..15 added sequentially onto `s`,
 // the row's seed.
 inline float LaneSum(__m512 acc, float s) {
@@ -53,14 +61,7 @@ inline float RowDotOne(const float* x, const float* y, size_t k, float seed) {
 // l of row r's accumulator to lane r of vector l; adding vectors 0..15 in
 // order onto `s`, the rows' seeds, then gives every row seed + lane 0 +
 // lane 1 + ... + lane 15 — LaneSum's exact sequence of adds.
-//
-// The shuffles are written in their masked forms with an all-ones mask:
-// the plain forms pass an undefined vector as the masked-off source,
-// which GCC 12 reports as maybe-uninitialized once inlined here. Both
-// compile to the same unmasked instruction.
 inline __m512 BlockLaneSum(const __m512 (&acc)[kW], __m512 s) {
-  constexpr __mmask16 kAll = 0xFFFF;
-  constexpr __mmask8 kAllPd = 0xFF;
   __m512 a[kW], b[kW];
   // Interleave rows in pairs (32-bit), then pairs in pairs (64-bit):
   // 128-bit block q of a[4g + j] holds lane 4q + j of rows 4g..4g+3.
@@ -109,9 +110,10 @@ inline __m512 BlockLaneSum(const __m512 (&acc)[kW], __m512 s) {
 // AVX2 version (simd_math.h), so elementwise results match across vector
 // ISAs bitwise.
 inline __m512 ExpNegPs(__m512 x) {
-  x = _mm512_max_ps(x, _mm512_set1_ps(kExpLowClamp));
+  x = _mm512_mask_max_ps(x, kAll, x, _mm512_set1_ps(kExpLowClamp));
   __m512 fx = _mm512_mul_ps(x, _mm512_set1_ps(kLog2E));
-  fx = _mm512_roundscale_ps(fx, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  fx = _mm512_mask_roundscale_ps(fx, kAll, fx,
+                                 _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
   x = _mm512_sub_ps(x, _mm512_mul_ps(fx, _mm512_set1_ps(kExpC1)));
   x = _mm512_sub_ps(x, _mm512_mul_ps(fx, _mm512_set1_ps(kExpC2)));
   const __m512 z = _mm512_mul_ps(x, x);
@@ -123,8 +125,9 @@ inline __m512 ExpNegPs(__m512 x) {
   y = _mm512_add_ps(_mm512_mul_ps(y, x), _mm512_set1_ps(kExpP5));
   y = _mm512_add_ps(_mm512_add_ps(_mm512_mul_ps(y, z), x),
                     _mm512_set1_ps(1.0f));
-  __m512i n = _mm512_cvtps_epi32(fx);
-  n = _mm512_slli_epi32(_mm512_add_epi32(n, _mm512_set1_epi32(127)), 23);
+  __m512i n = _mm512_mask_cvtps_epi32(_mm512_castps_si512(fx), kAll, fx);
+  n = _mm512_add_epi32(n, _mm512_set1_epi32(127));
+  n = _mm512_mask_slli_epi32(n, kAll, n, 23);
   return _mm512_mul_ps(y, _mm512_castsi512_ps(n));
 }
 
@@ -141,9 +144,10 @@ inline __m512 SigmoidPs(__m512 v) {
 }
 
 inline __m512 TanhPs(__m512 v) {
-  const __m512 x = _mm512_max_ps(
-      _mm512_set1_ps(-kTanhClamp),
-      _mm512_min_ps(_mm512_set1_ps(kTanhClamp), v));
+  const __m512 lo = _mm512_set1_ps(-kTanhClamp);
+  const __m512 hi = _mm512_set1_ps(kTanhClamp);
+  const __m512 x =
+      _mm512_mask_max_ps(lo, kAll, lo, _mm512_mask_min_ps(hi, kAll, hi, v));
   const __m512 x2 = _mm512_mul_ps(x, x);
   __m512 p = _mm512_set1_ps(kTanhAlpha13);
   p = _mm512_add_ps(_mm512_mul_ps(p, x2), _mm512_set1_ps(kTanhAlpha11));

@@ -312,7 +312,7 @@ TEST(StopwatchTest, MeasuresElapsedTime) {
   EXPECT_GE(t0, 0.0);
   // Burn a little CPU.
   volatile double acc = 0.0;
-  for (int i = 0; i < 2000000; ++i) acc += i * 0.5;
+  for (int i = 0; i < 2000000; ++i) acc = acc + i * 0.5;
   double t1 = sw.Seconds();
   EXPECT_GE(t1, t0);
   EXPECT_NEAR(sw.Millis(), sw.Seconds() * 1000.0, 50.0);
@@ -321,7 +321,7 @@ TEST(StopwatchTest, MeasuresElapsedTime) {
 TEST(StopwatchTest, RestartResets) {
   Stopwatch sw;
   volatile double acc = 0.0;
-  for (int i = 0; i < 2000000; ++i) acc += i * 0.5;
+  for (int i = 0; i < 2000000; ++i) acc = acc + i * 0.5;
   double before = sw.Seconds();
   sw.Restart();
   EXPECT_LE(sw.Seconds(), before + 1e-3);

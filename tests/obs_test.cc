@@ -119,7 +119,7 @@ TEST(ObsTest, ScopedTimerRecordsNonZeroDuration) {
     ScopedTimer span(t);
     // A handful of clock reads guarantee a nonzero steady-clock delta.
     volatile uint64_t sink = 0;
-    for (int i = 0; i < 100; ++i) sink += NowNanos();
+    for (int i = 0; i < 100; ++i) sink = sink + NowNanos();
     (void)sink;
   }
   EXPECT_EQ(t->Count(), 1u);
@@ -150,7 +150,7 @@ TEST(ObsTest, ScopedTimerMacroAggregatesThroughParallelFor) {
   ParallelFor(0, 64, 8, [&](size_t lo, size_t hi) {
     PUP_OBS_SCOPED_TIMER("obs_test/chunk");
     volatile size_t sink = 0;
-    for (size_t i = lo; i < hi; ++i) sink += i;
+    for (size_t i = lo; i < hi; ++i) sink = sink + i;
     (void)sink;
   });
   EXPECT_GT(t->Count(), before);
