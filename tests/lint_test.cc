@@ -8,13 +8,14 @@
 // (PUP_LINT_BINARY, PUP_SOURCE_DIR) so the test runs the same artifact
 // the `lint` target uses.
 #include <sys/wait.h>
-#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -27,20 +28,34 @@ struct LintRun {
   std::string output;
 };
 
-std::string TempDir() {
-  const char* base = std::getenv("TMPDIR");
-  std::string dir = std::string(base ? base : "/tmp") + "/pup_lint_test_" +
-                    std::to_string(::testing::UnitTest::GetInstance()
-                                       ->random_seed()) +
-                    "_" + std::to_string(::getpid());
-  std::string cmd = "mkdir -p " + dir;
-  EXPECT_EQ(std::system(cmd.c_str()), 0);
-  return dir;
-}
+/// A new directory under $TMPDIR (default /tmp), made by mkdtemp and
+/// removed with its contents when this goes out of scope.
+class TempDir {
+ public:
+  TempDir() {
+    const char* base = std::getenv("TMPDIR");
+    path_ = std::string(base ? base : "/tmp") + "/pup_lint_test_XXXXXX";
+    made_ = ::mkdtemp(path_.data()) != nullptr;
+    EXPECT_TRUE(made_) << "mkdtemp failed for " << path_;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    if (made_) std::filesystem::remove_all(path_, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+  bool made_ = false;
+};
 
 /// Runs pup_lint over `args`, capturing stdout+stderr and the exit code.
 LintRun RunLint(const std::string& args) {
-  const std::string log = TempDir() + "/out.txt";
+  const TempDir tmp;
+  const std::string log = tmp.path() + "/out.txt";
   const std::string cmd =
       std::string(PUP_LINT_BINARY) + " " + args + " > " + log + " 2>&1";
   LintRun run;
@@ -53,10 +68,11 @@ LintRun RunLint(const std::string& args) {
   return run;
 }
 
-/// Writes `content` to a fresh fixture file and lints just that file's
-/// directory; returns the run.
+/// Writes `content` to a fixture file in a new directory and lints just
+/// that directory; returns the run.
 LintRun LintFixture(const std::string& content, const char* extra = "") {
-  const std::string dir = TempDir();
+  const TempDir tmp;
+  const std::string& dir = tmp.path();
   std::ofstream out(dir + "/fixture.cc");
   out << content;
   out.close();
@@ -64,12 +80,13 @@ LintRun LintFixture(const std::string& content, const char* extra = "") {
 }
 
 /// Writes a multi-file fixture tree (relative path -> content) under a
-/// fresh temp dir and lints the whole dir — the shape the cross-file
+/// new temp dir and lints the whole dir — the shape the cross-file
 /// checks (include graph, call graph, ckpt sites) need.
 LintRun LintTree(
     const std::vector<std::pair<std::string, std::string>>& files,
     const char* extra = "") {
-  const std::string dir = TempDir();
+  const TempDir tmp;
+  const std::string& dir = tmp.path();
   for (const auto& [rel, content] : files) {
     const size_t slash = rel.rfind('/');
     if (slash != std::string::npos) {
@@ -201,7 +218,8 @@ TEST(LintCheckTest, PupNarrowingAcceptsSuffixedScientificLiteral) {
 
 TEST(LintCheckTest, PupSimdGatherFiresOnGatherScatterAnywhere) {
   // Gather/scatter intrinsics are banned even under la/simd/.
-  const std::string dir = TempDir() + "/la/simd";
+  const TempDir tmp;
+  const std::string dir = tmp.path() + "/la/simd";
   EXPECT_EQ(std::system(("mkdir -p " + dir).c_str()), 0);
   std::ofstream out(dir + "/fixture.cc");
   out << "void f(float* p, void* idx) {\n"
@@ -228,7 +246,8 @@ TEST(LintCheckTest, PupSimdGatherFiresOnIntrinsicsOutsideBackend) {
 }
 
 TEST(LintCheckTest, PupSimdGatherAllowsPlainIntrinsicsInBackendDir) {
-  const std::string dir = TempDir() + "/la/simd";
+  const TempDir tmp;
+  const std::string dir = tmp.path() + "/la/simd";
   EXPECT_EQ(std::system(("mkdir -p " + dir).c_str()), 0);
   std::ofstream out(dir + "/fixture.cc");
   out << "#include <immintrin.h>\n"
