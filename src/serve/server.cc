@@ -77,7 +77,6 @@ RequestContext::RequestContext(const Server& server) {
   batch_scores_ = la::Matrix(opt.max_batch, index->num_items());
   scratch_scores_.reserve(index->num_items());
   topk_.reserve(opt.max_k);
-  selector_.Reserve(opt.max_k);
   // Quantized scratch, reserved for whichever quant mode needs more (an
   // int4 query splits into two stride-sized halves, which can exceed the
   // int8 buffer at small dims) — so a later Reload onto a differently
@@ -88,10 +87,12 @@ RequestContext::RequestContext(const Server& server) {
       2 * la::QuantizedTable::RowStrideFor(la::QuantMode::kInt4, d);
   qquery_.codes.reserve(i8 > i4 ? i8 : i4);
   qacc_.reserve(index->num_items());
+  // rerank_factor >= 1 (checked by Server), so this covers the max_k
+  // selections of every other path too.
   const size_t survivors = opt.rerank_factor * opt.max_k;
   survivors_.reserve(survivors);
   rerank_scores_.reserve(survivors);
-  qselector_.Reserve(survivors);
+  selector_.Reserve(survivors);
 }
 
 Server::Server(std::shared_ptr<const ServingIndex> index,
@@ -298,8 +299,8 @@ void Server::ServeFullRankingQuantized(const ServingIndex& index,
   const size_t budget = options_.rerank_factor * static_cast<size_t>(req.k);
   {
     PUP_OBS_SCOPED_TIMER("serve/quant/select");
-    ctx->qselector_.Select(approx, n, budget < n ? budget : n,
-                           &ctx->survivors_);
+    ctx->selector_.Select(approx, n, budget < n ? budget : n,
+                          &ctx->survivors_);
   }
   // Survivor order is membership only; sorting by id makes the final
   // selector's positional tie-break an id tie-break, the same strict

@@ -140,7 +140,7 @@ class RequestContext {
   la::Matrix batch_scores_;         ///< (<= max_batch, num_items) scores.
   std::vector<float> scratch_scores_;  ///< Subset / prior scoring buffer.
   std::vector<uint32_t> topk_;
-  eval::TopKSelector selector_;
+  eval::TopKSelector selector_;  ///< Each of a request's selections (R*max_k).
 
   // Quantized-path scratch (sized for either quant mode up front, so a
   // Reload onto a quantized index stays allocation-free).
@@ -148,7 +148,6 @@ class RequestContext {
   std::vector<int32_t> qacc_;          ///< Exact int32 fastscan dots.
   std::vector<uint32_t> survivors_;    ///< Top R*k approx ids, sorted by id.
   std::vector<float> rerank_scores_;   ///< Exact f32 survivor scores.
-  eval::TopKSelector qselector_;       ///< Survivor selection (R*max_k).
 };
 
 /// Thread-safe serving front end over an immutable index snapshot.
