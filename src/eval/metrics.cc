@@ -74,7 +74,7 @@ void AccumulateUser(const std::vector<float>& scores,
 // accumulation bitwise.
 constexpr size_t kUsersPerChunk = 16;
 
-// Per-chunk metric partial sums plus that chunk's reusable score buffers.
+// Per-chunk metric partial sums and the count of users they cover.
 struct ChunkAccumulator {
   std::map<int, Accumulator> acc;
   size_t evaluated = 0;

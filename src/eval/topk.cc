@@ -19,8 +19,8 @@ struct Better {
 
 void TopKSelector::Reserve(size_t k) { heap_.reserve(k); }
 
-// PUP_HOT: runs once per request in the serving engine and once per
-// (user, cutoff) in ranking eval; allocation-free within Reserve'd k.
+// PUP_HOT: runs once or twice per request in the serving engine and
+// once per user in ranking eval; allocation-free within Reserve'd k.
 void TopKSelector::Select(const float* scores, size_t n, size_t k,
                           std::vector<uint32_t>* out) {
   const Better better{scores};
