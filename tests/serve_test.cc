@@ -12,7 +12,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <bit>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -54,22 +56,30 @@ data::Dataset SmallDataset(uint64_t seed = 7, double scale = 0.1,
   return ds;
 }
 
-// A synthetic trained model: Gaussian embeddings at a dim (24) that is
-// neither a multiple of 16 (exercises the padded tail) nor below the
-// vector width (exercises the full-lane path).
-models::DotScorer MakeScorer(const data::Dataset& ds, uint64_t seed = 3) {
+// A synthetic trained model: Gaussian embeddings at a dim (24 by
+// default) that is neither a multiple of 16 (exercises the padded tail)
+// nor below the vector width (exercises the full-lane path).
+models::DotScorer MakeScorer(const data::Dataset& ds, uint64_t seed = 3,
+                             size_t dim = 24) {
   Rng rng(seed);
-  la::Matrix users = la::Matrix::Gaussian(ds.num_users, 24, 0.5f, &rng);
-  la::Matrix items = la::Matrix::Gaussian(ds.num_items, 24, 0.5f, &rng);
+  la::Matrix users = la::Matrix::Gaussian(ds.num_users, dim, 0.5f, &rng);
+  la::Matrix items = la::Matrix::Gaussian(ds.num_items, dim, 0.5f, &rng);
   std::vector<float> bias(ds.num_items);
   for (float& b : bias) b = rng.NextFloat() - 0.5f;
   return models::DotScorer(std::move(users), std::move(items),
                            std::move(bias));
 }
 
-std::shared_ptr<const ServingIndex> MakeIndex(const data::Dataset& ds) {
+std::shared_ptr<const ServingIndex> MakeIndex(const data::Dataset& ds,
+                                              size_t dim = 24) {
   return std::make_shared<const ServingIndex>(
-      ServingIndex::Freeze(MakeScorer(ds), ds, "test-model"));
+      ServingIndex::Freeze(MakeScorer(ds, 3, dim), ds, "test-model"));
+}
+
+std::shared_ptr<const ServingIndex> Int8Copy(const ServingIndex& index) {
+  Result<ServingIndex> quantized = index.WithQuant(la::QuantMode::kInt8);
+  EXPECT_TRUE(quantized.ok()) << quantized.status().ToString();
+  return std::make_shared<const ServingIndex>(std::move(quantized).value());
 }
 
 struct Ranked {
@@ -717,6 +727,136 @@ TEST(CacheTest, MismatchedKOrGenerationMissesAndInvalidateDropsAll) {
   EXPECT_FALSE(cache.Lookup(3, 1, 7, &got_items, &got_scores));
 }
 
+// Mixed traffic over a trace: full rankings with the user's exclusions,
+// re-rank pools and cold start, then one full ranking for
+// `unknown_user`, which the index does not know. The requests borrow
+// `trace` and `exclude`.
+std::vector<Request> MixedRequests(
+    const Trace& trace, const std::vector<std::vector<uint32_t>>& exclude,
+    uint32_t k, uint32_t unknown_user) {
+  std::vector<Request> out;
+  for (const TraceEvent& ev : trace.events) {
+    const std::vector<uint32_t>* pool = nullptr;
+    const std::vector<uint32_t>* excl = nullptr;
+    if (ev.scenario == Scenario::kRerank) {
+      pool = &trace.rerank_pools[ev.pool];
+    } else if (ev.user < exclude.size()) {
+      excl = &exclude[ev.user];
+    }
+    out.push_back(MakeRequest(ev.user, k, ev.scenario, pool, excl));
+  }
+  out.push_back(
+      MakeRequest(unknown_user, k, Scenario::kFullRanking, nullptr, nullptr));
+  return out;
+}
+
+// Each request's reply from a serial max_batch 1 server over `index`.
+std::vector<Ranked> ServeSerially(std::shared_ptr<const ServingIndex> index,
+                                  const std::vector<Request>& requests,
+                                  uint32_t k) {
+  ServerOptions opt;
+  opt.max_batch = 1;
+  opt.max_k = k;
+  Server server(std::move(index), opt);
+  RequestContext ctx(server);
+  Reply reply;
+  reply.Reserve(k);
+  std::vector<Ranked> out;
+  for (const Request& req : requests) {
+    server.Rank(req, &ctx, &reply);
+    EXPECT_TRUE(reply.status.ok()) << reply.status.ToString();
+    out.push_back({reply.items, reply.scores});
+  }
+  return out;
+}
+
+// Four clients send mixed traffic while a fifth thread alternates Reload
+// between two snapshots: A, and B with a larger catalog at another dim.
+// Every reply must be the one a serial server gives over A or over B —
+// a batch never mixes snapshots, and a context built while A was current
+// still serves B. On the f32 indexes and on their int8 copies, with the
+// cache on and off.
+TEST(ServeBehaviorTest, RepliesAcrossConcurrentReloadsMatchOneSnapshot) {
+  const data::Dataset ds_a = SmallDataset();
+  const data::Dataset ds_b = SmallDataset(11, 0.15, 6000);
+  auto a = MakeIndex(ds_a);
+  auto b = MakeIndex(ds_b, 40);
+  ASSERT_GT(b->num_items(), a->num_items());
+  ASSERT_NE(b->dim(), a->dim());
+  const uint32_t k = 10;
+
+  // Ids inside both catalogs: users and items below the smaller count.
+  TraceConfig tc;
+  tc.num_users = std::min(a->num_users(), b->num_users());
+  tc.num_items = a->num_items();
+  tc.num_events = 120;
+  tc.rerank_frac = 0.2;
+  tc.cold_frac = 0.1;
+  const Trace trace = GenerateTrace(tc);
+  const std::vector<std::vector<uint32_t>> exclude = ds_a.UserItemLists();
+  const uint32_t unknown =
+      static_cast<uint32_t>(std::max(a->num_users(), b->num_users())) + 5;
+  const std::vector<Request> requests =
+      MixedRequests(trace, exclude, k, unknown);
+
+  using Snapshot = std::shared_ptr<const ServingIndex>;
+  const std::pair<Snapshot, Snapshot> pairs[] = {{a, b},
+                                                 {Int8Copy(*a), Int8Copy(*b)}};
+  for (const auto& [snap_a, snap_b] : pairs) {
+    const std::vector<Ranked> ref_a = ServeSerially(snap_a, requests, k);
+    const std::vector<Ranked> ref_b = ServeSerially(snap_b, requests, k);
+    for (size_t cache : {size_t{0}, size_t{64}}) {
+      ServerOptions opt;
+      opt.max_batch = 8;
+      opt.batch_timeout_us = 200;
+      opt.cache_capacity = cache;
+      opt.max_k = k;
+      Server server(snap_a, opt);
+      constexpr int kClients = 4;
+      std::vector<std::unique_ptr<RequestContext>> ctxs;
+      for (int c = 0; c < kClients; ++c) {
+        ctxs.push_back(std::make_unique<RequestContext>(server));
+      }
+      std::atomic<int> running{kClients};
+      std::atomic<size_t> wrong{0};
+      std::atomic<size_t> reloads{0};
+      std::thread reloader([&] {
+        bool to_b = true;
+        while (running.load() > 0) {
+          server.Reload(to_b ? snap_b : snap_a);
+          to_b = !to_b;
+          reloads.fetch_add(1, std::memory_order_relaxed);
+          std::this_thread::sleep_for(std::chrono::microseconds(300));
+        }
+      });
+      std::vector<std::thread> clients;
+      for (int c = 0; c < kClients; ++c) {
+        clients.emplace_back([&, c] {
+          Reply reply;
+          reply.Reserve(k);
+          for (int round = 0; round < 3; ++round) {
+            for (size_t j = 0; j < requests.size(); ++j) {
+              const size_t i = (j + 31 * static_cast<size_t>(c)) %
+                               requests.size();
+              server.Rank(requests[i], ctxs[c].get(), &reply);
+              const Ranked got{reply.items, reply.scores};
+              if (!reply.status.ok() || !(got == ref_a[i] || got == ref_b[i])) {
+                wrong.fetch_add(1, std::memory_order_relaxed);
+              }
+            }
+          }
+          running.fetch_sub(1);
+        });
+      }
+      for (std::thread& t : clients) t.join();
+      reloader.join();
+      EXPECT_GT(reloads.load(), 1u);
+      EXPECT_EQ(wrong.load(), 0u)
+          << "quantized=" << snap_a->quantized() << " cache=" << cache;
+    }
+  }
+}
+
 TEST(ServeBehaviorTest, ReloadBumpsGenerationAndInvalidatesCache) {
   data::Dataset ds = SmallDataset();
   auto index = MakeIndex(ds);
@@ -863,6 +1003,70 @@ TEST(ServeAllocTest, SteadyStateRequestLoopDoesNotAllocate) {
       << "Matrix buffer allocations in the steady-state request loop";
   EXPECT_EQ(obs_after - obs_before, 0u)
       << "obs registrations in the steady-state request loop";
+}
+
+// The same contract when callers share batches: four clients with
+// max_batch 4 send mixed traffic on the f32 index and on its int8 copy.
+// Once every client has warmed up, the shared batches, their staging and
+// each caller's own scratch allocate nothing.
+TEST(ServeAllocTest, ConcurrentCallersSharingBatchesDoNotAllocate) {
+  data::Dataset ds = SmallDataset();
+  auto f32 = MakeIndex(ds);
+  const uint32_t k = 10;
+  TraceConfig tc;
+  tc.num_users = f32->num_users();
+  tc.num_items = f32->num_items();
+  tc.num_events = 400;
+  const Trace trace = GenerateTrace(tc);
+  const std::vector<std::vector<uint32_t>> exclude = ds.UserItemLists();
+  const std::vector<Request> requests = MixedRequests(
+      trace, exclude, k, static_cast<uint32_t>(f32->num_users()) + 5);
+
+  for (const auto& index : {f32, Int8Copy(*f32)}) {
+    ServerOptions opt;
+    opt.max_batch = 4;
+    opt.batch_timeout_us = 100;
+    opt.cache_capacity = 32;
+    opt.max_k = k;
+    Server server(index, opt);
+    constexpr int kClients = 4;
+    constexpr size_t kWarmup = 100;
+    // The main thread joins both barriers: it reads the counters between
+    // the end of every warm-up and the start of every measured loop.
+    std::barrier warmed(kClients + 1);
+    std::barrier counted(kClients + 1);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        RequestContext ctx(server);
+        Reply reply;
+        reply.Reserve(k);
+        const size_t offset = 97 * static_cast<size_t>(c);
+        for (size_t j = 0; j < kWarmup; ++j) {
+          server.Rank(requests[(j + offset) % requests.size()], &ctx, &reply);
+        }
+        warmed.arrive_and_wait();
+        counted.arrive_and_wait();
+        for (size_t j = 0; j < requests.size(); ++j) {
+          server.Rank(requests[(j + offset) % requests.size()], &ctx, &reply);
+        }
+      });
+    }
+    warmed.arrive_and_wait();
+    const la::AllocStats la_before = la::MatrixAllocStats();
+    const uint64_t obs_before = obs::AllocationCount();
+    counted.arrive_and_wait();
+    for (std::thread& t : clients) t.join();
+    const la::AllocStats la_after = la::MatrixAllocStats();
+    const uint64_t obs_after = obs::AllocationCount();
+
+    EXPECT_EQ(la_after.count - la_before.count, 0u)
+        << "Matrix buffer allocations with shared batches, quantized="
+        << index->quantized();
+    EXPECT_EQ(obs_after - obs_before, 0u)
+        << "obs registrations with shared batches, quantized="
+        << index->quantized();
+  }
 }
 
 }  // namespace
