@@ -624,24 +624,24 @@ void BM_ScoreItemsF32Simd(benchmark::State& state) {
 }
 BENCHMARK(BM_ScoreItemsF32Simd)->Apply(SimdSweepArgs);
 
-// The serving batch kernel at the serve-f32 ledger shape: m users against
-// a 24,000 x 64 item table with a bias, on a one-thread pool like the
-// server's kernel pool. A batch reads the item table once, so
-// "us_per_user" should fall as m grows.
+// The serving batch kernel at the serve-f32 ledger shape: one whole pass
+// of m users against a 24,000 x 64 item table with a bias, on the
+// calling thread, as a lone server caller on a one-thread pool runs it.
+// A batch reads the item table once, so "us_per_user" should fall as m
+// grows.
 void BM_ScoreItemsForUsersF32Simd(benchmark::State& state) {
   const auto isa = static_cast<simd::Isa>(state.range(0));
   const size_t m = static_cast<size_t>(state.range(1));
   ScopedIsa pin(isa);
-  ThreadPool::SetGlobalThreads(1);
   constexpr size_t kItems = 24000, kD = 64;
   la::Matrix items = RandomMatrix(kItems, kD, 31);
   la::Matrix users = RandomMatrix(m, kD, 33);
   std::vector<float> bias(kItems, 0.1f);
-  la::Matrix out;
+  la::Matrix out(m, kItems);
   Stopwatch timer;
   size_t iters = 0;
   for (auto _ : state) {
-    la::ScoreItemsForUsers(items, users, bias.data(), &out);
+    la::ScoreItemsForUsers(items, users, bias.data(), 0, kItems, &out);
     benchmark::DoNotOptimize(out.data());
     ++iters;
   }
@@ -652,7 +652,6 @@ void BM_ScoreItemsForUsersF32Simd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * m * kItems);
   const std::string family = "score_users_f32_24000x64_m" + std::to_string(m);
   RecordSimdSweep(state, family, isa, seconds, iters, 2.0 * m * kItems * kD);
-  ThreadPool::SetGlobalThreads(0);
 }
 
 // SimdSweepArgs for each batch size m in {1, 4, 16}.

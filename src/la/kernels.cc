@@ -502,30 +502,33 @@ void ScoreItemsForUser(const Matrix& items, const float* user,
 // so it stays cache-resident while every user of the batch dots it.
 constexpr size_t kItemTile = 64;
 
-// PUP_HOT: one call scores a whole serving micro-batch.
+size_t ScoreItemsForUsersGrain(size_t m, size_t d) {
+  return (RowGrain(d * m) + kItemTile - 1) / kItemTile * kItemTile;
+}
+
+// PUP_HOT: one chunk of a serving micro-batch's pass, on the calling
+// thread.
 void ScoreItemsForUsers(const Matrix& items, const Matrix& users,
-                        const float* bias, Matrix* out) {
-  PUP_OBS_COUNT("la/score_batch", 1);
+                        const float* bias, size_t lo, size_t hi, Matrix* out) {
+  if (lo == 0) PUP_OBS_COUNT("la/score_batch", 1);
   PUP_CHECK_EQ(users.cols(), items.cols());
+  PUP_CHECK_EQ(out->rows(), users.rows());
+  PUP_CHECK_EQ(out->cols(), items.rows());
+  PUP_CHECK(lo <= hi && hi <= items.rows());
   const size_t m = users.rows();
   const size_t d = users.cols();
-  const size_t n = items.rows();
-  EnsureShapeNoZero(m, n, out);
   const simd::Backend& be = simd::Active();
-  // Item tiles outer, users inner, so a batch reads each item row from
+  // Item tiles outer, users inner, so a pass reads each item row from
   // memory once. Every (user, item) score is the same seeded dot that
-  // ScoreItemsForUser computes, so batching never changes a score.
-  const size_t grain =
-      (RowGrain(d * m) + kItemTile - 1) / kItemTile * kItemTile;
-  ParallelFor(0, n, grain, [&](size_t lo, size_t hi) {
-    for (size_t t = lo; t < hi; t += kItemTile) {
-      const size_t t_hi = std::min(hi, t + kItemTile);
-      for (size_t r = 0; r < m; ++r) {
-        be.dot_rows(items.data(), items.stride(), users.Row(r), 0, bias,
-                    out->Row(r), t, t_hi, d);
-      }
+  // ScoreItemsForUser computes, so neither batching nor the split into
+  // chunks changes a score.
+  for (size_t t = lo; t < hi; t += kItemTile) {
+    const size_t t_hi = std::min(hi, t + kItemTile);
+    for (size_t r = 0; r < m; ++r) {
+      be.dot_rows(items.data(), items.stride(), users.Row(r), 0, bias,
+                  out->Row(r), t, t_hi, d);
     }
-  });
+  }
 }
 
 // PUP_HOT: candidate re-rank path; a one-row dot per candidate, seeded

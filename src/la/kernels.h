@@ -117,14 +117,23 @@ void ScoreItemsForUser(const Matrix& items, const float* user,
                        const float* bias, float* out);
 
 /// Batched form for micro-batched serving: out(r, i) = bias[i] +
-/// dot(items.Row(i), users.Row(r)). Shapes: (n,d) items,
-/// (m,d) users -> (m,n). Item tiles outer, users inner: every user of
-/// the batch dots one 64-row item tile before the next is read, so a
-/// call reads each item row from memory once, not m times. Each output
-/// row is bitwise-equal to a ScoreItemsForUser call on that user alone,
-/// at any batch shape.
+/// dot(items.Row(i), users.Row(r)) for the item rows i in [lo, hi).
+/// Shapes: (n,d) items, (m,d) users, and `out` already (m,n). Runs on the
+/// calling thread, item tiles outer and users inner: every user of the
+/// batch dots one 64-row item tile before the next is read, so a pass
+/// reads each item row from memory once, not m times. A pass over all n
+/// rows is one call over [0, n) or, split across threads, calls over
+/// chunks of ScoreItemsForUsersGrain(m, d) rows. Each output row is
+/// bitwise-equal to a ScoreItemsForUser call on that user alone, at any
+/// batch shape and any split. Counts one `la/score_batch` per pass: the
+/// call whose range starts at row 0.
 void ScoreItemsForUsers(const Matrix& items, const Matrix& users,
-                        const float* bias, Matrix* out);
+                        const float* bias, size_t lo, size_t hi, Matrix* out);
+
+/// Item rows per chunk of a ScoreItemsForUsers pass for m users of dim d:
+/// the kernels' row grain for m dots of length d, rounded up to whole
+/// 64-row item tiles.
+size_t ScoreItemsForUsersGrain(size_t m, size_t d);
 
 /// Candidate re-rank form: out[j] = bias[idx[j]] +
 /// dot(items.Row(idx[j]), user) for j in [0, n_idx). Ids in `idx` must be

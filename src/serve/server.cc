@@ -3,15 +3,39 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <thread>
 #include <utility>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "la/kernels.h"
 
 namespace pup::serve {
 namespace {
 
 constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+
+// The leader's ParallelFor over the kernel pool hands each pool thread
+// one claim loop over the batch's chunk cursor.
+constexpr size_t kOneClaimLoopPerThread = 1;
+
+// Checks, a pause apart, that a wait makes before it starts yielding the
+// CPU: on the order of one chunk of the f32 pass.
+constexpr int kSpinsBeforeYield = 256;
+
+// Waits until `done()` holds: spins briefly, then yields between checks.
+// The thread waited on may share this one's vCPU (a host can have fewer
+// vCPUs than callers), so a wait never spins without bound.
+template <typename Done>
+void SpinThenYieldUntil(const Done& done) {
+  for (int i = 0; i < kSpinsBeforeYield; ++i) {
+    if (done()) return;
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+  }
+  while (!done()) std::this_thread::yield();
+}
 
 // Copies the selected ranking into the reply, best first, dropping the
 // tail once only masked (-inf) entries remain — an excluded item is never
@@ -71,10 +95,9 @@ const char* CheckItemIds(const ServingIndex& index, const Request& req,
 RequestContext::RequestContext(const Server& server) {
   const ServerOptions& opt = server.options();
   const std::shared_ptr<const ServingIndex> index = server.snapshot();
-  batch_.reserve(opt.max_batch);
-  full_rows_.reserve(opt.max_batch);
-  batch_users_ = la::Matrix(opt.max_batch, index->dim());
-  batch_scores_ = la::Matrix(opt.max_batch, index->num_items());
+  claimed_.reserve(opt.max_batch);
+  batch_.users = la::Matrix(opt.max_batch, index->dim());
+  batch_.scores = la::Matrix(opt.max_batch, index->num_items());
   scratch_scores_.reserve(index->num_items());
   topk_.reserve(opt.max_k);
   // Quantized scratch, reserved for whichever quant mode needs more (an
@@ -138,7 +161,7 @@ void Server::Reload(std::shared_ptr<const ServingIndex> index) {
 }
 
 // PUP_HOT: the serving request loop — no allocation in steady state; the
-// only waits are the batching monitor and the serialized batch execution.
+// only waits are the batching monitor and the batch's own callers.
 void Server::Rank(const Request& req, RequestContext* ctx, Reply* reply) {
   requests_->Add(1);
   reply->cache_hit = false;
@@ -178,45 +201,64 @@ void Server::Rank(const Request& req, RequestContext* ctx, Reply* reply) {
   queue_.push_back(&slot);  // NOLINT(pup-hot-alloc): capacity max_batch.
   if (!leader) {
     if (queue_.size() >= options_.max_batch) cv_.notify_all();
-    cv_.wait(lk, [&] { return slot.done; });  // NOLINT(pup-hot-transitive): micro-batch rendezvous — one bounded wait buys batched execution (see docs/serving.md).
+    cv_.wait(lk, [&] { return slot.batch != nullptr; });  // NOLINT(pup-hot-transitive): micro-batch rendezvous — one bounded wait buys batched execution (see docs/serving.md).
+    lk.unlock();
+    // A rejected rider's reply was written before it woke, and it never
+    // touches the leader's context.
+    if (slot.rejected) return;
+    ServeSlot(slot, /*lead=*/false, ctx);
+    // The rider's last touch of the leader's context.
+    slot.batch->readers.fetch_sub(1, std::memory_order_release);
     return;
   }
   if (options_.batch_timeout_us > 0 && options_.max_batch > 1) {
     cv_.wait_for(lk, std::chrono::microseconds(options_.batch_timeout_us),  // NOLINT(pup-hot-transitive): micro-batch rendezvous — one bounded wait buys batched execution (see docs/serving.md).
                  [&] { return queue_.size() >= options_.max_batch; });
   }
-  // Claim the batch. New arrivals start forming the next one as soon as
-  // the lock drops; execution below is serialized on exec_mu_, so under
-  // load the next leader collects every request that queues meanwhile.
+  // Claim the batch and its snapshot. New arrivals start forming the next
+  // batch as soon as the lock drops, and it runs beside this one.
   // NOLINTNEXTLINE(pup-hot-alloc): <= max_batch pointers, Reserve'd.
-  ctx->batch_.assign(queue_.begin(), queue_.end());
+  ctx->claimed_.assign(queue_.begin(), queue_.end());
   queue_.clear();
   const std::shared_ptr<const ServingIndex> index = index_;
   const uint64_t generation = generation_.load(std::memory_order_relaxed);
   lk.unlock();
   cv_.notify_all();
-  {
-    std::lock_guard<std::mutex> exec(exec_mu_);  // NOLINT(pup-hot-transitive): micro-batch rendezvous — one bounded wait buys batched execution (see docs/serving.md).
-    ExecuteBatch(*index, generation, ctx);
-  }
-  lk.lock();  // NOLINT(pup-hot-transitive): micro-batch rendezvous — one bounded wait buys batched execution (see docs/serving.md).
-  for (Slot* s : ctx->batch_) s->done = true;
-  lk.unlock();
-  cv_.notify_all();
-}
 
-// PUP_HOT: scores one claimed micro-batch — one ScoreItemsForUsers call
-// for the full-ranking rows, per-request subset/prior scoring for the
-// rest.
-void Server::ExecuteBatch(const ServingIndex& index, uint64_t generation,
-                          RequestContext* ctx) {
   obs::ScopedTimer span(batch_timer_, "serve/batch");
   batches_->Add(1);
-  occupancy_->Observe(ctx->batch_.size());
+  occupancy_->Observe(ctx->claimed_.size());
+  StageBatch(*index, generation, ctx);
+  // Publish: every rider wakes to a fully staged batch, in one pass.
+  lk.lock();  // NOLINT(pup-hot-transitive): micro-batch rendezvous — one bounded wait buys batched execution (see docs/serving.md).
+  for (Slot* s : ctx->claimed_) s->batch = &ctx->batch_;
+  lk.unlock();
+  cv_.notify_all();
+  // From here on the riders own their slots; the leader reads only its
+  // own and the batch.
+  ServeSlot(slot, /*lead=*/true, ctx);
+  // The batch, its score rows and `index` stay alive until the last
+  // rider has finished with them.
+  const Batch& b = ctx->batch_;
+  SpinThenYieldUntil(
+      [&b] { return b.readers.load(std::memory_order_acquire) == 0; });
+}
+
+// PUP_HOT: everything a claimed batch needs before its riders wake —
+// the unknown-user fallback, item-id checks and rejections, and the
+// f32 full-ranking users staged for the batch's one f32 pass.
+void Server::StageBatch(const ServingIndex& index, uint64_t generation,
+                        RequestContext* ctx) {
+  Batch& b = ctx->batch_;
+  b.index = &index;
+  b.generation = generation;
   const size_t d = index.dim();
-  ctx->full_rows_.clear();
-  for (size_t i = 0; i < ctx->batch_.size(); ++i) {
-    Slot* s = ctx->batch_[i];
+  // At most one staged row per claimed request; trimmed below.
+  b.users.ResizeNoZero(ctx->claimed_.size(), d);
+  const Slot* leader = ctx->claimed_.front();  // It queued first.
+  uint32_t readers = 0;
+  size_t rows = 0;
+  for (Slot* s : ctx->claimed_) {
     Scenario sc = s->req->scenario;
     // Unknown users cannot be scored from the user table: fall back to
     // the price-level popularity prior (full ranking) or to the prior
@@ -232,40 +274,86 @@ void Server::ExecuteBatch(const ServingIndex& index, uint64_t generation,
       Reject(bad, s->reply);
       continue;
     }
+    if (s != leader) ++readers;
     // Quantized indexes take the fastscan + re-rank path per request
     // (the scan is a memory-bound integer pass, not a batched f32 dot).
     if (sc == Scenario::kFullRanking && !index.quantized()) {
-      // NOLINTNEXTLINE(pup-hot-alloc): <= max_batch entries, Reserve'd.
-      ctx->full_rows_.push_back(static_cast<uint32_t>(i));
+      s->row = rows++;
+      const float* src = index.user_vecs().Row(s->req->user);
+      std::copy(src, src + d, b.users.Row(s->row));
     }
   }
-  if (!ctx->full_rows_.empty()) {
-    ctx->batch_users_.ResizeNoZero(ctx->full_rows_.size(), d);
-    for (size_t r = 0; r < ctx->full_rows_.size(); ++r) {
-      const Request& rq = *ctx->batch_[ctx->full_rows_[r]]->req;
-      const float* src = index.user_vecs().Row(rq.user);
-      std::copy(src, src + d, ctx->batch_users_.Row(r));
+  const size_t n = index.num_items();
+  b.users.ResizeNoZero(rows, d);  // Keeps the staged rows.
+  b.scores.ResizeNoZero(rows, n);
+  b.grain = la::ScoreItemsForUsersGrain(rows, d);
+  b.chunks = rows == 0 ? 0 : static_cast<uint32_t>((n + b.grain - 1) / b.grain);
+  b.next_chunk.store(0, std::memory_order_relaxed);
+  b.chunks_done.store(0, std::memory_order_relaxed);
+  b.readers.store(readers, std::memory_order_relaxed);
+}
+
+// PUP_HOT: claims chunks of the batch's f32 pass off its cursor until
+// none remain, scoring each on the calling thread.
+void Server::ScoreChunks(Batch* b) {
+  const ServingIndex& index = *b->index;
+  const size_t n = index.num_items();
+  uint32_t scored = 0;
+  for (;;) {
+    const uint32_t c = b->next_chunk.fetch_add(1, std::memory_order_relaxed);
+    if (c >= b->chunks) break;
+    const size_t lo = c * b->grain;
+    la::ScoreItemsForUsers(index.item_vecs(), b->users, index.bias(), lo,
+                           std::min(n, lo + b->grain), &b->scores);
+    ++scored;
+  }
+  // One add per claim loop, after its last chunk, so the count reaches
+  // b->chunks only once every chunk is scored.
+  if (scored > 0) b->chunks_done.fetch_add(scored, std::memory_order_release);
+}
+
+// PUP_HOT: one caller's part of its batch — its claims of the batch's f32
+// pass (the leader's run through the kernel pool too), then its own
+// request, served from the batch's snapshot on the caller's own context.
+void Server::ServeSlot(const Slot& slot, bool lead, RequestContext* ctx) {
+  Batch* b = slot.batch;
+  const ServingIndex& index = *b->index;
+  const bool from_pass = !slot.rejected &&
+                         slot.served == Scenario::kFullRanking &&
+                         !index.quantized();
+  if (b->chunks > 0) {
+    PUP_OBS_SCOPED_TIMER("serve/full/score");
+    if (lead) {
+      ThreadPool& pool = ThreadPool::Global();
+      pool.ParallelFor(0, std::min<size_t>(pool.num_threads(), b->chunks),
+                       kOneClaimLoopPerThread, [b](size_t lo, size_t hi) {
+                         for (size_t t = lo; t < hi; ++t) ScoreChunks(b);
+                       });
+    } else {
+      ScoreChunks(b);
     }
-    la::ScoreItemsForUsers(index.item_vecs(), ctx->batch_users_, index.bias(),
-                           &ctx->batch_scores_);
-    for (size_t r = 0; r < ctx->full_rows_.size(); ++r) {
-      Slot* s = ctx->batch_[ctx->full_rows_[r]];
-      ServeFullRanking(index, generation, ctx->batch_scores_.Row(r),
-                       *s->req, s->reply, ctx);
+    // Only a request ranked from the pass waits for its last chunk.
+    if (from_pass) {
+      SpinThenYieldUntil([b] {
+        return b->chunks_done.load(std::memory_order_acquire) == b->chunks;
+      });
     }
   }
-  for (Slot* s : ctx->batch_) {
-    if (s->rejected) continue;
-    if (s->served == Scenario::kFullRanking && index.quantized()) {
-      ServeFullRankingQuantized(index, generation, *s->req, s->reply, ctx);
-    } else if (s->served == Scenario::kRerank) {
-      ServeSubset(index, *s->req, s->reply, ctx);
-    } else if (s->served == Scenario::kColdStart) {
-      ServePrior(index, *s->req, s->reply, ctx);
-    }
-    s->reply->status = Status::OK();
-    s->reply->served = s->served;
+  if (slot.rejected) return;
+  const Request& req = *slot.req;
+  Reply* reply = slot.reply;
+  if (from_pass) {
+    ServeFullRanking(index, b->generation, b->scores.Row(slot.row), req,
+                     reply, ctx);
+  } else if (slot.served == Scenario::kFullRanking) {
+    ServeFullRankingQuantized(index, b->generation, req, reply, ctx);
+  } else if (slot.served == Scenario::kRerank) {
+    ServeSubset(index, req, reply, ctx);
+  } else {
+    ServePrior(index, req, reply, ctx);
   }
+  reply->status = Status::OK();
+  reply->served = slot.served;
 }
 
 // PUP_HOT: quantized full ranking — int8/int4 fastscan over the code
@@ -328,16 +416,18 @@ void Server::ServeFullRankingQuantized(const ServingIndex& index,
 }
 
 // PUP_HOT: full-catalog ranking for one request; `scores` is the
-// request's private row of the batch score matrix, masked in place.
+// request's own row of its batch's score matrix, masked in place.
 void Server::ServeFullRanking(const ServingIndex& index, uint64_t generation,
                               float* scores, const Request& req, Reply* reply,
                               RequestContext* ctx) {
-  const size_t n = index.num_items();
-  if (req.exclude != nullptr) {
-    for (uint32_t id : *req.exclude) scores[id] = kNegInf;
+  {
+    PUP_OBS_SCOPED_TIMER("serve/full/select");
+    if (req.exclude != nullptr) {
+      for (uint32_t id : *req.exclude) scores[id] = kNegInf;
+    }
+    ctx->selector_.Select(scores, index.num_items(), req.k, &ctx->topk_);
+    EmitRanked(scores, ctx->topk_, nullptr, reply);
   }
-  ctx->selector_.Select(scores, n, req.k, &ctx->topk_);
-  EmitRanked(scores, ctx->topk_, nullptr, reply);
   if (cache_ != nullptr) {
     cache_->Insert(req.user, req.k, generation, reply->items, reply->scores);
   }

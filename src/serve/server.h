@@ -3,13 +3,13 @@
 // A Server answers synchronous top-K requests over a frozen ServingIndex
 // with cross-user micro-batching: the first thread to arrive at an empty
 // batch becomes the leader, waits up to batch_timeout_us for up to
-// max_batch companions, scores the whole batch with one
-// la::ScoreItemsForUsers call — item tiles outer, users inner, so the
-// item table is read from memory once per batch — and completes every
-// rider's reply. Batch execution is serialized, but a leader claims its
-// batch before it waits for execution, so under load the next batch
-// holds only what queued while the previous leader was forming its
-// own; occupancy grows with pressure, though not reliably to max_batch
+// max_batch companions, claims and stages the batch, and publishes it to
+// its riders. Every caller in the batch — the leader, its riders and,
+// through the leader, the kernel pool — then claims item-row chunks of
+// the batch's one f32 pass (la::ScoreItemsForUsers: item tiles outer,
+// users inner, so the item table is read from memory once per batch),
+// and each caller finishes its own request on its own RequestContext.
+// Batches run concurrently, each on its own callers plus the pool
 // (docs/serving.md).
 //
 // Determinism contract (docs/serving.md): for a fixed index and SIMD
@@ -126,18 +126,39 @@ class RequestContext {
  private:
   friend class Server;
 
+  /// One published micro-batch, held by its leader's context and read by
+  /// every caller in it. The leader fills it before publishing; after
+  /// that, callers touch only the atomics, their own score rows, and
+  /// what the leader staged.
+  struct Batch {
+    /// The snapshot the leader claimed under the server's mutex; the
+    /// leader keeps it alive until the last rider has finished.
+    const ServingIndex* index = nullptr;
+    uint64_t generation = 0;
+    la::Matrix users;   ///< (f32 full-ranking rows, dim) staging.
+    la::Matrix scores;  ///< (f32 full-ranking rows, num_items) scores.
+    size_t grain = 0;   ///< Item rows per chunk of the f32 pass.
+    uint32_t chunks = 0;
+    /// Claim cursor, on its own cache line: every claim writes it, while
+    /// waiting callers poll the counts below.
+    alignas(64) std::atomic<uint32_t> next_chunk{0};
+    /// Chunks scored, added once by each claim loop as it ends.
+    alignas(64) std::atomic<uint32_t> chunks_done{0};
+    std::atomic<uint32_t> readers{0};  ///< Riders still reading.
+  };
+
   struct Slot {
     const Request* req = nullptr;
     Reply* reply = nullptr;
     Scenario served = Scenario::kFullRanking;
     bool rejected = false;  ///< Does not fit the batch's index snapshot.
-    bool done = false;
+    /// Set by the leader once the batch is staged; a rider wakes on it.
+    Batch* batch = nullptr;
+    size_t row = 0;  ///< This request's row of batch->scores (f32 full).
   };
 
-  std::vector<Slot*> batch_;        ///< Claimed batch (leader only).
-  std::vector<uint32_t> full_rows_; ///< batch_ positions scored batched.
-  la::Matrix batch_users_;          ///< (<= max_batch, dim) staging.
-  la::Matrix batch_scores_;         ///< (<= max_batch, num_items) scores.
+  std::vector<Slot*> claimed_;  ///< Claimed slots (leader only).
+  Batch batch_;                 ///< The batch this context leads.
   std::vector<float> scratch_scores_;  ///< Subset / prior scoring buffer.
   std::vector<uint32_t> topk_;
   eval::TopKSelector selector_;  ///< Each of a request's selections (R*max_k).
@@ -179,10 +200,13 @@ class Server {
  private:
   friend class RequestContext;
 
+  using Batch = RequestContext::Batch;
   using Slot = RequestContext::Slot;
 
-  void ExecuteBatch(const ServingIndex& index, uint64_t generation,
-                    RequestContext* ctx);
+  void StageBatch(const ServingIndex& index, uint64_t generation,
+                  RequestContext* ctx);
+  static void ScoreChunks(Batch* batch);
+  void ServeSlot(const Slot& slot, bool lead, RequestContext* ctx);
   void ServeFullRanking(const ServingIndex& index, uint64_t generation,
                         float* scores, const Request& req, Reply* reply,
                         RequestContext* ctx);
@@ -201,8 +225,6 @@ class Server {
   std::vector<Slot*> queue_;  ///< Forming batch; capacity max_batch.
   std::shared_ptr<const ServingIndex> index_;
   std::atomic<uint64_t> generation_{0};
-
-  std::mutex exec_mu_;  ///< Serializes batch execution (see header note).
 
   std::unique_ptr<ResultCache> cache_;
 

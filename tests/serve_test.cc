@@ -944,8 +944,8 @@ TEST(ServeBehaviorTest, ConcurrentRequestsCoalesceIntoSharedBatches) {
   const uint64_t batches =
       reg.GetCounter("serve/batches")->Get() - batches_before;
   EXPECT_EQ(requests, static_cast<uint64_t>(kClients * kRequestsPerClient));
-  // With 8 concurrent clients and serialized execution, batches must
-  // coalesce: strictly fewer batches than requests.
+  // With 8 concurrent clients and a leader that waits for companions,
+  // batches must coalesce: strictly fewer batches than requests.
   EXPECT_LT(batches, requests);
   EXPECT_GE(batches, 1u);
 }

@@ -339,8 +339,14 @@ TEST_F(SimdParityTest, LaneReducedKernelsMatchPinnedReference) {
       const float* const seeds[] = {nullptr, bias.data()};
       for (const float* seed : seeds) {
         const char* what = seed != nullptr ? " with bias" : " without bias";
-        Matrix batch;
-        la::ScoreItemsForUsers(x, y, seed, &batch);
+        // The batch pass in chunks of its grain, as the server splits it
+        // across callers; 64 + 7 rows are two chunks at every d here.
+        Matrix batch(y.rows(), x.rows());
+        const size_t grain = la::ScoreItemsForUsersGrain(y.rows(), d);
+        for (size_t lo = 0; lo < rows; lo += grain) {
+          la::ScoreItemsForUsers(x, y, seed, lo, std::min(rows, lo + grain),
+                                 &batch);
+        }
         std::vector<float> one(rows), subset(rows), ref(rows);
         for (size_t u = 0; u < rows; ++u) {
           la::ScoreItemsForUser(x, y.Row(u), seed, one.data());
