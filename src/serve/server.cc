@@ -19,8 +19,8 @@ constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 // one claim loop over the batch's chunk cursor.
 constexpr size_t kOneClaimLoopPerThread = 1;
 
-// Checks, a pause apart, that a wait makes before it starts yielding the
-// CPU: on the order of one chunk of the f32 pass.
+// How often a wait checks its condition, a CPU pause apart, before it
+// starts yielding the CPU to other threads.
 constexpr int kSpinsBeforeYield = 256;
 
 // Waits until `done()` holds: spins briefly, then yields between checks.
