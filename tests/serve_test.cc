@@ -727,13 +727,12 @@ TEST(CacheTest, MismatchedKOrGenerationMissesAndInvalidateDropsAll) {
   EXPECT_FALSE(cache.Lookup(3, 1, 7, &got_items, &got_scores));
 }
 
-// Mixed traffic over a trace: full rankings with the user's exclusions,
-// re-rank pools and cold start, then one full ranking for
-// `unknown_user`, which the index does not know. The requests borrow
+// Mixed traffic, one request per trace event: full rankings with the
+// user's exclusions, re-rank pools and cold start. The requests borrow
 // `trace` and `exclude`.
 std::vector<Request> MixedRequests(
     const Trace& trace, const std::vector<std::vector<uint32_t>>& exclude,
-    uint32_t k, uint32_t unknown_user) {
+    uint32_t k) {
   std::vector<Request> out;
   for (const TraceEvent& ev : trace.events) {
     const std::vector<uint32_t>* pool = nullptr;
@@ -745,8 +744,6 @@ std::vector<Request> MixedRequests(
     }
     out.push_back(MakeRequest(ev.user, k, ev.scenario, pool, excl));
   }
-  out.push_back(
-      MakeRequest(unknown_user, k, Scenario::kFullRanking, nullptr, nullptr));
   return out;
 }
 
@@ -794,10 +791,12 @@ TEST(ServeBehaviorTest, RepliesAcrossConcurrentReloadsMatchOneSnapshot) {
   tc.cold_frac = 0.1;
   const Trace trace = GenerateTrace(tc);
   const std::vector<std::vector<uint32_t>> exclude = ds_a.UserItemLists();
+  std::vector<Request> requests = MixedRequests(trace, exclude, k);
+  // And one user neither snapshot knows.
   const uint32_t unknown =
       static_cast<uint32_t>(std::max(a->num_users(), b->num_users())) + 5;
-  const std::vector<Request> requests =
-      MixedRequests(trace, exclude, k, unknown);
+  requests.push_back(
+      MakeRequest(unknown, k, Scenario::kFullRanking, nullptr, nullptr));
 
   using Snapshot = std::shared_ptr<const ServingIndex>;
   const std::pair<Snapshot, Snapshot> pairs[] = {{a, b},
@@ -974,28 +973,14 @@ TEST(ServeAllocTest, SteadyStateRequestLoopDoesNotAllocate) {
   tc.num_events = 400;
   Trace trace = GenerateTrace(tc);
   const std::vector<std::vector<uint32_t>> exclude = ds.UserItemLists();
-
-  auto serve_event = [&](const TraceEvent& ev) {
-    Request req;
-    req.user = ev.user;
-    req.k = k;
-    req.scenario = ev.scenario;
-    if (ev.scenario == Scenario::kRerank) {
-      req.candidates = &trace.rerank_pools[ev.pool];
-    } else if (ev.user < exclude.size()) {
-      req.exclude = &exclude[ev.user];
-    }
-    server.Rank(req, &ctx, &reply);
-  };
+  const std::vector<Request> requests = MixedRequests(trace, exclude, k);
 
   // Warmup: first touches register obs handles and size every buffer.
-  for (size_t i = 0; i < 100; ++i) serve_event(trace.events[i]);
+  for (size_t i = 0; i < 100; ++i) server.Rank(requests[i], &ctx, &reply);
 
   const la::AllocStats la_before = la::MatrixAllocStats();
   const uint64_t obs_before = obs::AllocationCount();
-  for (size_t i = 0; i < trace.events.size(); ++i) {
-    serve_event(trace.events[i]);
-  }
+  for (const Request& req : requests) server.Rank(req, &ctx, &reply);
   const la::AllocStats la_after = la::MatrixAllocStats();
   const uint64_t obs_after = obs::AllocationCount();
 
@@ -1019,8 +1004,10 @@ TEST(ServeAllocTest, ConcurrentCallersSharingBatchesDoNotAllocate) {
   tc.num_events = 400;
   const Trace trace = GenerateTrace(tc);
   const std::vector<std::vector<uint32_t>> exclude = ds.UserItemLists();
-  const std::vector<Request> requests = MixedRequests(
-      trace, exclude, k, static_cast<uint32_t>(f32->num_users()) + 5);
+  std::vector<Request> requests = MixedRequests(trace, exclude, k);
+  requests.push_back(
+      MakeRequest(static_cast<uint32_t>(f32->num_users()) + 5, k,
+                  Scenario::kFullRanking, nullptr, nullptr));
 
   for (const auto& index : {f32, Int8Copy(*f32)}) {
     ServerOptions opt;
