@@ -423,17 +423,19 @@ int main() {
   }
 
   // Open loop at ~60% of measured capacity: stable but busy enough for
-  // micro-batches to form, at two dispatcher counts.
+  // micro-batches to form. Each dispatcher blocks in a synchronous Rank,
+  // so too few of them measure their own lag behind the schedule, not
+  // the server: on a 4-vCPU x86 host, 4 dispatchers read a p95 of
+  // 5.5-12.2 ms where 8 read 0.24-0.39 ms at the same rate.
   const double target_qps = std::max(capacity_qps * 0.6, 1000.0);
-  for (int dispatchers : {4, 8}) {
+  {
+    constexpr int kDispatchers = 8;
     serve::Server server(index, MakeOptions());
-    const std::string label =
-        "serve/open/t" + std::to_string(dispatchers) + "/latency";
-    LoadStats s = RunOpenLoop(&server, trace, exclude, dispatchers,
-                              target_qps, reg.GetTimer(label));
-    add_row("open", dispatchers, s);
-    RecordLoadCase("open_t" + std::to_string(dispatchers), s,
-                   trace.events.size());
+    obs::Histogram* latency = reg.GetTimer("serve/open/t8/latency");
+    LoadStats s = RunOpenLoop(&server, trace, exclude, kDispatchers,
+                              target_qps, latency);
+    add_row("open", kDispatchers, s);
+    RecordLoadCase("open_t8", s, trace.events.size());
   }
 
   std::printf("%s", table.ToString().c_str());
