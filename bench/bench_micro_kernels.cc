@@ -442,11 +442,11 @@ void RecordSimdSweep(benchmark::State& state, const std::string& family,
   state.SetLabel(simd::IsaName(isa));
 }
 
-// Registers Arg(kOff) first, then each backend this host can run.
+// Registers Arg(kOff) first, then kAvx2 when this host can run it.
 void SimdSweepArgs(benchmark::internal::Benchmark* b) {
   b->Arg(static_cast<int>(simd::Isa::kOff));
-  for (simd::Isa isa : {simd::Isa::kAvx2, simd::Isa::kAvx512}) {
-    if (simd::IsaSupported(isa)) b->Arg(static_cast<int>(isa));
+  if (simd::IsaSupported(simd::Isa::kAvx2)) {
+    b->Arg(static_cast<int>(simd::Isa::kAvx2));
   }
 }
 
@@ -658,8 +658,8 @@ void BM_ScoreItemsForUsersF32Simd(benchmark::State& state) {
 void SimdSweepBatchArgs(benchmark::internal::Benchmark* b) {
   for (int m : {1, 4, 16}) {
     b->Args({static_cast<int>(simd::Isa::kOff), m});
-    for (simd::Isa isa : {simd::Isa::kAvx2, simd::Isa::kAvx512}) {
-      if (simd::IsaSupported(isa)) b->Args({static_cast<int>(isa), m});
+    if (simd::IsaSupported(simd::Isa::kAvx2)) {
+      b->Args({static_cast<int>(simd::Isa::kAvx2), m});
     }
   }
 }

@@ -48,7 +48,7 @@ class Flags {
 void ApplyThreadsFlag(const Flags& flags);
 
 /// Pins the SIMD kernel backend from the standard --simd flag
-/// (auto|off|avx2|avx512; default auto = widest supported ISA,
+/// (auto|off|avx2; default auto = widest supported ISA,
 /// --simd=off restores the exact scalar golden path). Aborts with a
 /// diagnostic on unknown or unsupported values. Call once at startup,
 /// before any kernel runs.

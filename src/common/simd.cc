@@ -37,14 +37,6 @@ bool IsaSupported(Isa isa) {
 #else
       return false;
 #endif
-    case Isa::kAvx512:
-#if defined(PUP_HAVE_AVX512)
-      // Its quantized kernels are the AVX2 backend's.
-      return __builtin_cpu_supports("avx2") != 0 &&
-             __builtin_cpu_supports("avx512f") != 0;
-#else
-      return false;
-#endif
   }
   return false;
 }
@@ -78,8 +70,6 @@ const char* IsaName(Isa isa) {
       return "off";
     case Isa::kAvx2:
       return "avx2";
-    case Isa::kAvx512:
-      return "avx512";
   }
   return "unknown";
 }
@@ -90,8 +80,6 @@ size_t IsaLaneWidth(Isa isa) {
       return 1;
     case Isa::kAvx2:
       return 8;
-    case Isa::kAvx512:
-      return 16;
   }
   return 1;
 }
@@ -114,7 +102,7 @@ Status SetActiveIsaFromString(const std::string& value) {
   }
   return Status::InvalidArgument(
       "unknown --simd value '" + value +
-      "' (expected auto, off, avx2, or avx512)");
+      "' (expected auto, off, or avx2)");
 }
 
 }  // namespace pup::simd

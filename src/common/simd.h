@@ -4,7 +4,7 @@
 // The active ISA is chosen once at startup: `auto` probes the CPU
 // (CPUID-backed __builtin_cpu_supports on x86; other architectures run
 // the scalar backend) and picks the widest supported backend; the global
-// `--simd={auto,avx2,avx512,off}` flag pins it explicitly. `off` is the
+// `--simd={auto,avx2,off}` flag pins it explicitly. `off` is the
 // golden path — plain scalar kernels, bitwise-identical to the pre-SIMD
 // library.
 //
@@ -28,9 +28,8 @@ namespace pup::simd {
 enum class Isa : int {
   kOff = 0,
   kAvx2 = 1,
-  kAvx512 = 2,
 };
-inline constexpr int kNumIsas = 3;
+inline constexpr int kNumIsas = 2;
 
 /// True when this process can execute `isa` (compiled in AND supported
 /// by the host CPU). kOff is always supported.
@@ -48,10 +47,10 @@ Isa ActiveIsa();
 /// (set it at startup, before parallel work).
 void SetActiveIsa(Isa isa);
 
-/// Lowercase name: "off", "avx2", "avx512".
+/// Lowercase name: "off", "avx2".
 const char* IsaName(Isa isa);
 
-/// Vector width in floats: 1, 8, 16.
+/// Vector width in floats: 1, 8.
 size_t IsaLaneWidth(Isa isa);
 
 /// Parses a --simd flag value ("auto" or an IsaName). Errors on unknown

@@ -68,8 +68,8 @@ struct AlignedAllocator {
 /// operate on Matrix. Element access is bounds-checked in debug builds.
 class Matrix {
  public:
-  /// Floats per alignment unit (64 bytes): the row-padding quantum and
-  /// the widest supported vector lane (AVX-512).
+  /// Floats per alignment unit (64 bytes, one cache line): the
+  /// row-padding quantum, a whole number of vector lanes.
   static constexpr size_t kAlignFloats = 16;
 
   /// Leading dimension for a logical column count: column vectors stay

@@ -50,13 +50,11 @@ namespace pup::la::simd {
 
 /// Inner-loop implementations for one ISA. All pointers are non-null on
 /// every table (unsupported ISAs simply reuse the scalar entries, the
-/// dispatcher never hands them out). A table may also hold another
-/// compiled backend's entry where its own width would change nothing:
-/// the AVX-512 table's quantized slots are the AVX2 table's. Strides are
-/// in floats. Row-block functions process output rows [lo, hi); flat
-/// functions process the padded flat range [lo, hi), whose bounds the
-/// caller guarantees are multiples of the 16-float alignment quantum (or
-/// cover the whole buffer).
+/// dispatcher never hands them out). Strides are in floats. Row-block
+/// functions process output rows [lo, hi); flat functions process the
+/// padded flat range [lo, hi), whose bounds the caller guarantees are
+/// multiples of the 16-float alignment quantum (or cover the whole
+/// buffer).
 struct Backend {
   pup::simd::Isa isa;
   const char* name;
@@ -141,9 +139,6 @@ const Backend& ForIsa(pup::simd::Isa isa);
 const Backend& ScalarBackend();
 #if defined(PUP_HAVE_AVX2)
 const Backend& Avx2Backend();
-#endif
-#if defined(PUP_HAVE_AVX512)
-const Backend& Avx512Backend();
 #endif
 
 }  // namespace pup::la::simd

@@ -18,11 +18,6 @@ const Backend* const* IsaTable() {
 #else
       &ScalarBackend(),
 #endif
-#if defined(PUP_HAVE_AVX512)
-      &Avx512Backend(),
-#else
-      &ScalarBackend(),
-#endif
   };
   return table;
 }

@@ -1,8 +1,7 @@
-// Coefficients for the vector transcendental approximations, shared by
-// every vector backend (AVX2 / AVX-512) so all lane widths
-// evaluate the exact same polynomials — elementwise results are then
-// bitwise-identical across vector ISAs (no FMA, identical operation
-// order per element; see docs/simd.md).
+// Coefficients for the vector transcendental approximations. A vector
+// backend evaluates exactly these polynomials, with no FMA and the same
+// operation order per element, so its elementwise results do not depend
+// on its lane width (see docs/simd.md).
 //
 // The scalar (--simd=off) backend does NOT use these: it calls libm, and
 // is the golden path. The vector approximations carry a bounded-ULP

@@ -310,8 +310,7 @@ TEST(ServeParityTest, ServedTopKMatchesOfflineEvalBitwise) {
   const Config configs[] = {
       {1, 1, 0}, {1, 32, 128}, {4, 1, 0}, {4, 32, 0}, {4, 32, 128}};
 
-  for (simd::Isa isa :
-       {simd::Isa::kOff, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
+  for (simd::Isa isa : {simd::Isa::kOff, simd::Isa::kAvx2}) {
     if (!simd::IsaSupported(isa)) continue;
     simd::SetActiveIsa(isa);
     // Per-backend reference: lane-reduced kernels are bitwise-stable
@@ -367,8 +366,7 @@ TEST(ServeParityTest, FittedModelScoresEqualFrozenIndexScores) {
         ServingIndex::Freeze(*folded, ds, model->name()));
     IndexScorer frozen(index.get());
 
-    for (simd::Isa isa :
-         {simd::Isa::kOff, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
+    for (simd::Isa isa : {simd::Isa::kOff, simd::Isa::kAvx2}) {
       if (!simd::IsaSupported(isa)) continue;
       simd::SetActiveIsa(isa);
       std::vector<Ranked> refs(ds.num_users);

@@ -64,9 +64,7 @@ using MatrixLayoutTest = SimdTest;
 
 std::vector<Isa> AllIsas() {
   std::vector<Isa> isas = {Isa::kOff};
-  for (Isa isa : {Isa::kAvx2, Isa::kAvx512}) {
-    if (simd::IsaSupported(isa)) isas.push_back(isa);
-  }
+  if (simd::IsaSupported(Isa::kAvx2)) isas.push_back(Isa::kAvx2);
   return isas;
 }
 
@@ -149,16 +147,22 @@ TEST_F(SimdDispatchTest, ProbeAndFlagParsing) {
   EXPECT_FALSE(bogus.ok());
   EXPECT_NE(bogus.message().find("sse9"), std::string::npos);
 
-  for (Isa isa : {Isa::kAvx2, Isa::kAvx512}) {
-    if (simd::IsaSupported(isa)) {
-      EXPECT_TRUE(simd::SetActiveIsaFromString(simd::IsaName(isa)).ok());
-      EXPECT_EQ(simd::ActiveIsa(), isa);
-    } else {
-      // Requesting an unsupported backend is a flag error, not a silent
-      // fallback — a pinned-ISA reproduction must fail loudly.
-      EXPECT_FALSE(simd::SetActiveIsaFromString(simd::IsaName(isa)).ok());
-    }
+  if (simd::IsaSupported(Isa::kAvx2)) {
+    EXPECT_TRUE(simd::SetActiveIsaFromString("avx2").ok());
+    EXPECT_EQ(simd::ActiveIsa(), Isa::kAvx2);
+  } else {
+    // Requesting an unsupported backend is a flag error, not a silent
+    // fallback — a pinned-ISA reproduction must fail loudly.
+    EXPECT_FALSE(simd::SetActiveIsaFromString("avx2").ok());
   }
+
+  // The removed AVX-512 backend's value is an unknown name on every
+  // host, so a script that still passes it fails loudly instead of
+  // running on another backend.
+  const Status removed = simd::SetActiveIsaFromString("avx512");
+  EXPECT_EQ(removed.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(removed.message().find("avx512"), std::string::npos);
+  EXPECT_NE(removed.message().find("auto, off, or avx2"), std::string::npos);
 }
 
 TEST_F(SimdDispatchTest, TablesMatchTheirIsa) {
@@ -169,11 +173,9 @@ TEST_F(SimdDispatchTest, TablesMatchTheirIsa) {
     EXPECT_EQ(be.lane_width, simd::IsaLaneWidth(isa));
     EXPECT_NE(be.dispatch_count, nullptr);
   }
-  // Unsupported slots fall back to the scalar table.
-  for (Isa isa : {Isa::kAvx2, Isa::kAvx512}) {
-    if (!simd::IsaSupported(isa)) {
-      EXPECT_EQ(la::simd::ForIsa(isa).isa, Isa::kOff);
-    }
+  // An unsupported slot falls back to the scalar table.
+  if (!simd::IsaSupported(Isa::kAvx2)) {
+    EXPECT_EQ(la::simd::ForIsa(Isa::kAvx2).isa, Isa::kOff);
   }
   simd::SetActiveIsa(simd::DetectBestIsa());
   EXPECT_EQ(la::simd::Active().isa, simd::DetectBestIsa());

@@ -84,7 +84,7 @@ int Usage() {
                "[--seed N] [--quant off|int8|int4] [--rerank R]\n"
                "       global: --threads N (default: hardware concurrency; "
                "1 = exact serial)\n"
-               "               --simd=auto|off|avx2|avx512 kernel "
+               "               --simd=auto|off|avx2 kernel "
                "backend (default: auto; off = scalar golden path)\n"
                "               --check-numerics[=0|1] NaN/Inf tape scan "
                "each step (default: on in Debug)\n"
