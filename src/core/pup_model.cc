@@ -185,10 +185,8 @@ ag::Tensor Pup::Propagate(const Branch& branch, bool training) {
                           &graph_->adjacency_transposed(), f));
     layers.push_back(f);  // NOLINT(pup-hot-transitive): bounded by num_layers.
   }
-  ag::Tensor out = layers.back();
-  if (config_.layer_combine == PupConfig::LayerCombine::kMean &&
-      layers.size() > 1) {
-    out = layers[0];
+  ag::Tensor out = layers[0];
+  if (layers.size() > 1) {
     for (size_t l = 1; l < layers.size(); ++l) out = ag::Add(out, layers[l]);
     out = ag::Scale(out, 1.0f / static_cast<float>(layers.size()));
   }

@@ -50,12 +50,9 @@ struct PupConfig {
   size_t max_neighbors = 0;
 
   /// Number of stacked graph convolutions (paper: 1). With more layers
-  /// the final representation combines them per layer_combine.
+  /// the final representation is the mean of every layer's output
+  /// (LightGCN-style smoothing).
   int num_layers = 1;
-  /// How multi-layer outputs are combined: the last layer only, or the
-  /// mean of all layers (LightGCN-style smoothing).
-  enum class LayerCombine { kLast, kMean };
-  LayerCombine layer_combine = LayerCombine::kMean;
 
   float dropout = 0.1f;
   float init_stddev = 0.05f;

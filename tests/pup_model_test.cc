@@ -314,22 +314,18 @@ TEST(PupLearningTest, EmbeddingAllocationChangesCapacity) {
 
 TEST(PupLearningTest, MultiLayerPropagationTrains) {
   data::Dataset ds = SmallDataset(88);
-  for (auto combine : {PupConfig::LayerCombine::kLast,
-                       PupConfig::LayerCombine::kMean}) {
-    PupConfig c = PupConfig::Full();
-    c.embedding_dim = 12;
-    c.category_branch_dim = 4;
-    c.dropout = 0.0f;
-    c.num_layers = 2;
-    c.layer_combine = combine;
-    c.train = FastTrain(3);
-    Pup model(c);
-    model.Fit(ds, ds.interactions);
-    std::vector<float> scores;
-    model.ScoreItems(0, &scores);
-    ASSERT_EQ(scores.size(), ds.num_items);
-    for (float s : scores) EXPECT_TRUE(std::isfinite(s));
-  }
+  PupConfig c = PupConfig::Full();
+  c.embedding_dim = 12;
+  c.category_branch_dim = 4;
+  c.dropout = 0.0f;
+  c.num_layers = 2;
+  c.train = FastTrain(3);
+  Pup model(c);
+  model.Fit(ds, ds.interactions);
+  std::vector<float> scores;
+  model.ScoreItems(0, &scores);
+  ASSERT_EQ(scores.size(), ds.num_items);
+  for (float s : scores) EXPECT_TRUE(std::isfinite(s));
 }
 
 TEST(PupLearningTest, LayerCountChangesScores) {
