@@ -156,9 +156,9 @@ TEST_F(SimdDispatchTest, ProbeAndFlagParsing) {
     EXPECT_FALSE(simd::SetActiveIsaFromString("avx2").ok());
   }
 
-  // The removed AVX-512 backend's value is an unknown name on every
-  // host, so a script that still passes it fails loudly instead of
-  // running on another backend.
+  // A wider x86 ISA name has no backend in any build: it is an unknown
+  // value on every host, so a script that passes it fails loudly
+  // instead of running on AVX2.
   const Status removed = simd::SetActiveIsaFromString("avx512");
   EXPECT_EQ(removed.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(removed.message().find("avx512"), std::string::npos);
