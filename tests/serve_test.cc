@@ -613,12 +613,16 @@ TEST(ServeBehaviorTest, MalformedRequestsGetInvalidArgumentAndSpareTheirBatch) {
     const uint64_t batches_before = reg.GetCounter("serve/batches")->Get();
     std::atomic<size_t> wrong{0};
     std::atomic<size_t> batched{0};
+    // Both contexts are live before either client sends, so the first
+    // leader waits for its partner instead of serving alone.
+    std::barrier start(2);
     std::vector<std::thread> clients;
     for (int t = 0; t < 2; ++t) {
       clients.emplace_back([&] {
         RequestContext ctx(server);
         Reply reply;
         reply.Reserve(k);
+        start.arrive_and_wait();
         for (int round = 0; round < 3; ++round) {
           for (const auto& [req, ref] : sequence) {
             // The reply still holds the previous ranking; a rejection
@@ -919,12 +923,16 @@ TEST(ServeBehaviorTest, ConcurrentRequestsCoalesceIntoSharedBatches) {
 
   constexpr int kClients = 8;
   constexpr int kRequestsPerClient = 50;
+  // Every context is live before the first request, so no client starts
+  // out alone.
+  std::barrier start(kClients);
   std::vector<std::thread> clients;
   for (int t = 0; t < kClients; ++t) {
     clients.emplace_back([&, t] {
       RequestContext ctx(server);
       Reply reply;
       reply.Reserve(opt.max_k);
+      start.arrive_and_wait();
       for (int i = 0; i < kRequestsPerClient; ++i) {
         Request req;
         req.user = static_cast<uint32_t>((t * kRequestsPerClient + i) %
@@ -945,6 +953,82 @@ TEST(ServeBehaviorTest, ConcurrentRequestsCoalesceIntoSharedBatches) {
   // batches must coalesce: strictly fewer batches than requests.
   EXPECT_LT(batches, requests);
   EXPECT_GE(batches, 1u);
+}
+
+// A leader claims its batch as soon as every live RequestContext of its
+// server is in it: no other caller exists that could still join. The
+// timeout still bounds the wait while a live context stays outside the
+// batch, and destroying a context wakes a leader that was waiting for it.
+TEST(ServeBehaviorTest, BatchClosesOnceEveryLiveContextHasJoined) {
+  data::Dataset ds = SmallDataset();
+  auto index = MakeIndex(ds);
+  const uint32_t k = 10;
+  obs::Counter* batches = obs::Registry::Global().GetCounter("serve/batches");
+  using Clock = std::chrono::steady_clock;
+  auto make_server = [&](std::chrono::microseconds timeout) {
+    ServerOptions opt;
+    opt.max_batch = 32;
+    opt.batch_timeout_us = static_cast<uint64_t>(timeout.count());
+    opt.max_k = k;
+    return std::make_unique<Server>(index, opt);
+  };
+  auto rank_one = [&](Server* server, RequestContext* ctx, uint32_t user) {
+    Reply reply;
+    reply.Reserve(k);
+    server->Rank(
+        MakeRequest(user, k, Scenario::kFullRanking, nullptr, nullptr), ctx,
+        &reply);
+    EXPECT_TRUE(reply.status.ok()) << reply.status.ToString();
+  };
+  // Four callers build their contexts, meet at a barrier, and send one
+  // full ranking each.
+  auto four_callers = [&](Server* server) {
+    constexpr int kCallers = 4;
+    std::barrier start(kCallers);
+    std::vector<std::thread> callers;
+    for (int c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        RequestContext ctx(*server);
+        start.arrive_and_wait();
+        rank_one(server, &ctx, static_cast<uint32_t>(c));
+      });
+    }
+    for (std::thread& c : callers) c.join();
+  };
+
+  {  // Every live context joins: the batch closes long before its timeout.
+    auto server = make_server(std::chrono::seconds(5));
+    const uint64_t before = batches->Get();
+    const Clock::time_point t0 = Clock::now();
+    four_callers(server.get());
+    EXPECT_LT(Clock::now() - t0, std::chrono::seconds(2));
+    EXPECT_EQ(batches->Get() - before, 1u);
+  }
+  {  // A fifth live context that never sends holds it open until then.
+    auto server = make_server(std::chrono::milliseconds(200));
+    RequestContext idle(*server);
+    const uint64_t before = batches->Get();
+    const Clock::time_point t0 = Clock::now();
+    four_callers(server.get());
+    EXPECT_GE(Clock::now() - t0, std::chrono::milliseconds(200));
+    EXPECT_EQ(batches->Get() - before, 1u);
+  }
+  {  // Destroying the only other context releases the waiting leader.
+    auto server = make_server(std::chrono::seconds(5));
+    auto other = std::make_unique<RequestContext>(*server);
+    std::barrier start(2);
+    const Clock::time_point t0 = Clock::now();
+    std::thread caller([&] {
+      RequestContext ctx(*server);
+      start.arrive_and_wait();
+      rank_one(server.get(), &ctx, 0);
+    });
+    start.arrive_and_wait();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    other.reset();
+    caller.join();
+    EXPECT_LT(Clock::now() - t0, std::chrono::seconds(2));
+  }
 }
 
 // ---------------------------------------------------------------------------
