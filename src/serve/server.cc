@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -92,7 +93,7 @@ const char* CheckItemIds(const ServingIndex& index, const Request& req,
 
 }  // namespace
 
-RequestContext::RequestContext(const Server& server) {
+RequestContext::RequestContext(const Server& server) : server_(&server) {
   const ServerOptions& opt = server.options();
   const std::shared_ptr<const ServingIndex> index = server.snapshot();
   claimed_.reserve(opt.max_batch);
@@ -116,6 +117,18 @@ RequestContext::RequestContext(const Server& server) {
   survivors_.reserve(survivors);
   rerank_scores_.reserve(survivors);
   selector_.Reserve(survivors);
+  // Counted last, once nothing above can throw, so the destructor always
+  // undoes it.
+  std::lock_guard<std::mutex> lock(server.mu_);
+  ++server.contexts_;
+}
+
+RequestContext::~RequestContext() {
+  std::lock_guard<std::mutex> lock(server_->mu_);
+  --server_->contexts_;
+  // A waiting leader may now hold every live context. Notified before
+  // the lock drops: once the count is zero ~Server may run.
+  server_->cv_.notify_all();
 }
 
 Server::Server(std::shared_ptr<const ServingIndex> index,
@@ -137,6 +150,12 @@ Server::Server(std::shared_ptr<const ServingIndex> index,
   cache_misses_ = reg.GetCounter("serve/cache_miss");
   occupancy_ = reg.GetHistogram("serve/batch_occupancy");
   batch_timer_ = reg.GetTimer("serve/batch");
+  queue_wait_ = reg.GetTimer("serve/queue_wait");
+}
+
+Server::~Server() {
+  std::lock_guard<std::mutex> lock(mu_);
+  PUP_CHECK_MSG(contexts_ == 0, "a RequestContext outlives its Server");
 }
 
 std::shared_ptr<const ServingIndex> Server::snapshot() const {
@@ -163,6 +182,8 @@ void Server::Reload(std::shared_ptr<const ServingIndex> index) {
 // PUP_HOT: the serving request loop — no allocation in steady state; the
 // only waits are the batching monitor and the batch's own callers.
 void Server::Rank(const Request& req, RequestContext* ctx, Reply* reply) {
+  PUP_CHECK_MSG(ctx->server_ == this,
+                "RequestContext was built on another Server");
   requests_->Add(1);
   reply->cache_hit = false;
   const char* bad = nullptr;
@@ -193,16 +214,27 @@ void Server::Rank(const Request& req, RequestContext* ctx, Reply* reply) {
   Slot slot;
   slot.req = &req;
   slot.reply = reply;
+  // From asking to join the forming batch until this caller's batch is
+  // claimed (leader) or published to it (rider).
+  std::optional<obs::ScopedTimer> queue_wait(std::in_place, queue_wait_,
+                                             "serve/queue_wait");
   std::unique_lock<std::mutex> lk(mu_);  // NOLINT(pup-hot-transitive): micro-batch rendezvous — one bounded wait buys batched execution (see docs/serving.md).
   // A full forming batch means its leader is about to claim it; wait for
   // the claim rather than overflowing the fixed-capacity queue.
   while (queue_.size() >= options_.max_batch) cv_.wait(lk);  // NOLINT(pup-hot-transitive): micro-batch rendezvous — one bounded wait buys batched execution (see docs/serving.md).
+  // The forming batch can grow no further: it is full, or it holds every
+  // live context (each caller has its own), so no other caller exists
+  // that could still join.
+  const auto closed = [this] {
+    return queue_.size() >= std::min(options_.max_batch, contexts_);
+  };
   const bool leader = queue_.empty();
   queue_.push_back(&slot);  // NOLINT(pup-hot-alloc): capacity max_batch.
   if (!leader) {
-    if (queue_.size() >= options_.max_batch) cv_.notify_all();
+    if (closed()) cv_.notify_all();
     cv_.wait(lk, [&] { return slot.batch != nullptr; });  // NOLINT(pup-hot-transitive): micro-batch rendezvous — one bounded wait buys batched execution (see docs/serving.md).
     lk.unlock();
+    queue_wait.reset();
     // A rejected rider's reply was written before it woke, and it never
     // touches the leader's context.
     if (slot.rejected) return;
@@ -213,7 +245,7 @@ void Server::Rank(const Request& req, RequestContext* ctx, Reply* reply) {
   }
   if (options_.batch_timeout_us > 0 && options_.max_batch > 1) {
     cv_.wait_for(lk, std::chrono::microseconds(options_.batch_timeout_us),  // NOLINT(pup-hot-transitive): micro-batch rendezvous — one bounded wait buys batched execution (see docs/serving.md).
-                 [&] { return queue_.size() >= options_.max_batch; });
+                 closed);
   }
   // Claim the batch and its snapshot. New arrivals start forming the next
   // batch as soon as the lock drops, and it runs beside this one.
@@ -223,6 +255,7 @@ void Server::Rank(const Request& req, RequestContext* ctx, Reply* reply) {
   const std::shared_ptr<const ServingIndex> index = index_;
   const uint64_t generation = generation_.load(std::memory_order_relaxed);
   lk.unlock();
+  queue_wait.reset();
   cv_.notify_all();
 
   obs::ScopedTimer span(batch_timer_, "serve/batch");

@@ -2,9 +2,10 @@
 //
 // A Server answers synchronous top-K requests over a frozen ServingIndex
 // with cross-user micro-batching: the first thread to arrive at an empty
-// batch becomes the leader, waits up to batch_timeout_us for up to
-// max_batch companions, claims and stages the batch, and publishes it to
-// its riders. Every caller in the batch — the leader, its riders and,
+// batch becomes the leader and waits for companions until the batch holds
+// max_batch callers or every live RequestContext of the server, or until
+// batch_timeout_us passes; it then claims and stages the batch, and
+// publishes it to its riders. Every caller in the batch — the leader, its riders and,
 // through the leader, the kernel pool — then claims item-row chunks of
 // the batch's one f32 pass (la::ScoreItemsForUsers: item tiles outer,
 // users inner, so the item table is read from memory once per batch),
@@ -101,8 +102,10 @@ struct ServerOptions {
   /// Largest micro-batch one scoring pass covers; 1 disables cross-user
   /// batching.
   size_t max_batch = 32;
-  /// How long a batch leader waits for companions before firing (0 =
-  /// fire immediately; occupancy then comes from natural queueing only).
+  /// Longest a batch leader waits for companions (0 = fire immediately;
+  /// occupancy then comes from natural queueing only). A batch that holds
+  /// every live RequestContext, or max_batch callers, fires at once: no
+  /// other caller exists that could still join it.
   uint64_t batch_timeout_us = 100;
   /// Hot-user result cache entries; 0 disables the cache.
   size_t cache_capacity = 0;
@@ -118,13 +121,26 @@ class Server;
 
 /// Per-thread scoring scratch: batch staging, score matrices, selector
 /// state. Constructing one allocates everything up front; a thread reuses
-/// it across requests so the request loop stays allocation-free.
+/// it across requests so the request loop stays allocation-free. The
+/// server counts its live contexts: a forming batch that holds all of
+/// them closes without waiting out batch_timeout_us, so a context that
+/// will send no more requests should be destroyed, not kept idle. A
+/// context serves only the server it was built on and must not outlive
+/// it (both checked).
 class RequestContext {
  public:
   explicit RequestContext(const Server& server);
+  ~RequestContext();
+
+  RequestContext(const RequestContext&) = delete;
+  RequestContext& operator=(const RequestContext&) = delete;
+  RequestContext(RequestContext&&) = delete;
+  RequestContext& operator=(RequestContext&&) = delete;
 
  private:
   friend class Server;
+
+  const Server* server_;  ///< The server this context counts toward.
 
   /// One published micro-batch, held by its leader's context and read by
   /// every caller in it. The leader fills it before publishing; after
@@ -175,9 +191,15 @@ class RequestContext {
 class Server {
  public:
   Server(std::shared_ptr<const ServingIndex> index, ServerOptions options);
+  /// Every RequestContext built on this server must be destroyed first.
+  ~Server();
+
+  Server(const Server&) = delete;
+  Server& operator=(const Server&) = delete;
 
   /// Ranks synchronously; may coalesce with concurrent callers into one
-  /// batched scoring pass. `ctx` must not be shared between threads;
+  /// batched scoring pass. `ctx` must have been built on this server and
+  /// must not be shared between threads;
   /// `reply` should be Reserve'd to max_k by the caller once. A malformed
   /// request sets reply->status to InvalidArgument and never aborts;
   /// k and the scenario are checked on admission, item ids against the
@@ -220,9 +242,12 @@ class Server {
 
   ServerOptions options_;
 
-  mutable std::mutex mu_;  ///< Guards queue_ and index_.
-  std::condition_variable cv_;
+  mutable std::mutex mu_;  ///< Guards queue_, contexts_ and index_.
+  mutable std::condition_variable cv_;
   std::vector<Slot*> queue_;  ///< Forming batch; capacity max_batch.
+  /// Live RequestContexts: each caller in queue_ holds its own, so a
+  /// forming batch of this many callers can grow no further.
+  mutable size_t contexts_ = 0;
   std::shared_ptr<const ServingIndex> index_;
   std::atomic<uint64_t> generation_{0};
 
@@ -235,6 +260,7 @@ class Server {
   obs::Counter* cache_misses_;
   obs::Histogram* occupancy_;
   obs::Histogram* batch_timer_;
+  obs::Histogram* queue_wait_;
 };
 
 }  // namespace pup::serve

@@ -1031,6 +1031,38 @@ TEST(ServeBehaviorTest, BatchClosesOnceEveryLiveContextHasJoined) {
   }
 }
 
+// A context's destructor updates its server's live-context count, so a
+// server destroyed before one of its contexts aborts instead of leaving
+// the context a dangling server.
+TEST(ServeDeathTest, ServerOutlivedByItsContextAborts) {
+  data::Dataset ds = SmallDataset();
+  auto index = MakeIndex(ds);
+  EXPECT_DEATH(
+      {
+        auto server = std::make_unique<Server>(index, ServerOptions{});
+        RequestContext ctx(*server);
+        server.reset();
+      },
+      "a RequestContext outlives its Server");
+}
+
+// A context counts toward the server it was built on, and its scratch is
+// sized from that server's options, so another server rejects it.
+TEST(ServeDeathTest, ContextFromAnotherServerAborts) {
+  data::Dataset ds = SmallDataset();
+  auto index = MakeIndex(ds);
+  EXPECT_DEATH(
+      {
+        Server a(index, ServerOptions{});
+        Server b(index, ServerOptions{});
+        RequestContext ctx(a);
+        Reply reply;
+        b.Rank(MakeRequest(0, 10, Scenario::kFullRanking, nullptr, nullptr),
+               &ctx, &reply);
+      },
+      "RequestContext was built on another Server");
+}
+
 // ---------------------------------------------------------------------------
 // Zero-allocation steady state
 // ---------------------------------------------------------------------------
