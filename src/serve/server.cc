@@ -215,9 +215,12 @@ void Server::Rank(const Request& req, RequestContext* ctx, Reply* reply) {
   slot.req = &req;
   slot.reply = reply;
   // From asking to join the forming batch until this caller's batch is
-  // claimed (leader) or published to it (rider).
-  std::optional<obs::ScopedTimer> queue_wait(std::in_place, queue_wait_,
-                                             "serve/queue_wait");
+  // claimed (leader) or published to it (rider). A timer with no trace
+  // span: every request past the cache waits here, re-ranks and cold
+  // starts too, so its spans were 53% of a traced serve-mixed ledger
+  // run's events and overflowed the run's trace buffer. The wait still
+  // shows in a trace as the gap before a caller's first span.
+  std::optional<obs::ScopedTimer> queue_wait(std::in_place, queue_wait_);
   std::unique_lock<std::mutex> lk(mu_);  // NOLINT(pup-hot-transitive): micro-batch rendezvous — one bounded wait buys batched execution (see docs/serving.md).
   // A full forming batch means its leader is about to claim it; wait for
   // the claim rather than overflowing the fixed-capacity queue.
