@@ -5,9 +5,12 @@
 // defaults, and can list unknown keys for error reporting.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <system_error>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -41,6 +44,24 @@ class Flags {
   mutable std::map<std::string, bool> queried_;
   std::vector<std::string> positional_;
 };
+
+/// Reads integer flag --`name` strictly: `fallback` when absent, else the
+/// whole value must be a non-negative integer that fits T, or the result
+/// is InvalidArgument. Flags::GetInt would read "abc" as 0 and keep "-3".
+template <typename T>
+Result<T> NonNegativeIntFlag(const Flags& flags, const std::string& name,
+                             T fallback = T{0}) {
+  if (!flags.Has(name)) return fallback;
+  const std::string text = flags.GetString(name, "");
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || std::cmp_less(value, 0)) {
+    return Status::InvalidArgument(
+        "--" + name + " is not a non-negative integer: '" + text + "'");
+  }
+  return value;
+}
 
 /// Sizes the global thread pool from the standard --threads flag
 /// (default: hardware concurrency; --threads=1 restores exact serial

@@ -1,7 +1,6 @@
 #include "train/trainer.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -224,26 +223,6 @@ Status ApplyNegSamplingFlags(const Flags& flags, TrainOptions* options) {
   options->neg_alpha = flags.GetDouble("neg-alpha", options->neg_alpha);
   return Status::OK();
 }
-
-namespace {
-
-// Reads integer flag --`name` (absent: 0) strictly: the whole value must
-// be a non-negative integer that fits T. Flags::GetInt would read "abc"
-// as 0 and keep "-3".
-template <typename T>
-Result<T> NonNegativeIntFlag(const Flags& flags, const std::string& name) {
-  const std::string text = flags.GetString(name, "0");
-  T value{};
-  const char* end = text.data() + text.size();
-  auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end || std::cmp_less(value, 0)) {
-    return Status::InvalidArgument(
-        "--" + name + " is not a non-negative integer: '" + text + "'");
-  }
-  return value;
-}
-
-}  // namespace
 
 Result<CheckpointOptions> CheckpointOptionsFromFlags(const Flags& flags) {
   CheckpointOptions options;

@@ -385,5 +385,36 @@ TEST(FlagsTest, UnusedFlagsDetected) {
   EXPECT_EQ(unused[0], "typo");
 }
 
+TEST(FlagsTest, NonNegativeIntFlagReadsWholeValuesAndFallsBack) {
+  Flags f = ParseArgs({"--n=42", "--zero", "0", "--big=4294967295"});
+  EXPECT_EQ(NonNegativeIntFlag<int>(f, "n").value(), 42);
+  EXPECT_EQ(NonNegativeIntFlag<size_t>(f, "zero", size_t{7}).value(), 0u);
+  EXPECT_EQ(NonNegativeIntFlag<uint32_t>(f, "big").value(), 4294967295u);
+  // Absent: the fallback, 0 unless given.
+  EXPECT_EQ(NonNegativeIntFlag<int>(f, "missing").value(), 0);
+  EXPECT_EQ(NonNegativeIntFlag<uint64_t>(f, "missing", uint64_t{100}).value(),
+            100u);
+  // Every flag was queried, so none reads as a typo.
+  EXPECT_TRUE(f.UnusedFlags().empty());
+}
+
+TEST(FlagsTest, NonNegativeIntFlagRejectsMalformedValues) {
+  Flags f = ParseArgs({"--neg=-1", "--word=abc", "--tail=12x", "--empty=",
+                       "--bare", "--frac=1.5", "--wide=4294967296",
+                       "--space= 3"});
+  for (const char* name :
+       {"neg", "word", "tail", "empty", "bare", "frac", "wide", "space"}) {
+    Result<uint32_t> u = NonNegativeIntFlag<uint32_t>(f, name, 5u);
+    ASSERT_FALSE(u.ok()) << name;
+    EXPECT_EQ(u.status().code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(u.status().message().find(std::string("--") + name),
+              std::string::npos)
+        << u.status().ToString();
+  }
+  // A signed type rejects a negative value by sign, not by parse.
+  EXPECT_FALSE(NonNegativeIntFlag<int64_t>(f, "neg").ok());
+  EXPECT_EQ(NonNegativeIntFlag<int64_t>(f, "wide").value(), 4294967296);
+}
+
 }  // namespace
 }  // namespace pup

@@ -20,7 +20,10 @@
 //       synthetic Zipfian trace, reporting QPS and latency percentiles.
 //       --quant requantizes the loaded index's item table (overriding
 //       whatever the file stored); --rerank sets the survivor factor of
-//       the quantized fastscan path (docs/quantization.md).
+//       the quantized fastscan path (docs/quantization.md). Its integer
+//       flags are parsed strictly: a value that is not a non-negative
+//       integer, or 0 for --topk, --clients, --batch or --rerank, prints
+//       an InvalidArgument and exits 2.
 //
 // Unknown subcommands and unknown/misspelled flags are rejected with the
 // usage message and exit code 2.
@@ -363,25 +366,48 @@ int RunTrain(const Flags& flags) {
   return 0;
 }
 
+// Reads integer flag --`name` into `value` (left as is when absent)
+// strictly: a value that is not a non-negative integer, or is below
+// `min`, prints the InvalidArgument and returns false.
+template <typename T>
+bool ReadIntFlag(const Flags& flags, const std::string& name, T min, T* value) {
+  Result<T> parsed = NonNegativeIntFlag<T>(flags, name, *value);
+  Status st = parsed.status();
+  if (st.ok() && *parsed < min) {
+    st = Status::InvalidArgument("--" + name + " must be at least " +
+                                 std::to_string(min));
+  }
+  if (!st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    return false;
+  }
+  *value = *parsed;
+  return true;
+}
+
 int RunServe(const Flags& flags) {
   std::string index_path = flags.GetString("index", "");
-  uint32_t topk = static_cast<uint32_t>(flags.GetInt("topk", 10));
-  size_t num_requests = static_cast<size_t>(flags.GetInt("requests", 20000));
-  int clients = static_cast<int>(flags.GetInt("clients", 4));
+  uint32_t topk = 10;
+  size_t num_requests = 20000;
+  int clients = 4;
   serve::ServerOptions opt;
-  opt.max_batch = static_cast<size_t>(flags.GetInt("batch", 32));
-  opt.batch_timeout_us =
-      static_cast<uint64_t>(flags.GetInt("timeout-us", 100));
-  opt.cache_capacity = static_cast<size_t>(flags.GetInt("cache", 4096));
-  opt.max_k = std::max<size_t>(topk, 1);
-  opt.rerank_factor =
-      static_cast<size_t>(std::max<int64_t>(flags.GetInt("rerank", 4), 1));
+  opt.cache_capacity = 4096;
+  if (!ReadIntFlag<uint32_t>(flags, "topk", 1, &topk) ||
+      !ReadIntFlag<size_t>(flags, "requests", 0, &num_requests) ||
+      !ReadIntFlag<int>(flags, "clients", 1, &clients) ||
+      !ReadIntFlag<size_t>(flags, "batch", 1, &opt.max_batch) ||
+      !ReadIntFlag<uint64_t>(flags, "timeout-us", 0, &opt.batch_timeout_us) ||
+      !ReadIntFlag<size_t>(flags, "cache", 0, &opt.cache_capacity) ||
+      !ReadIntFlag<size_t>(flags, "rerank", 1, &opt.rerank_factor)) {
+    return 2;
+  }
+  opt.max_k = topk;
   double zipf = flags.GetDouble("zipf", 1.1);
   uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   // Empty = serve whatever quantization the index file stored.
   std::string quant_name = flags.GetString("quant", "");
   if (int rc = RejectUnknownFlags(flags); rc != 0) return rc;
-  if (index_path.empty() || topk == 0 || clients < 1) return Usage();
+  if (index_path.empty()) return Usage();
 
   auto loaded = serve::ServingIndex::Load(index_path);
   if (!loaded.ok()) {
