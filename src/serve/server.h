@@ -5,13 +5,13 @@
 // batch becomes the leader and waits for companions until the batch holds
 // max_batch callers or every live RequestContext of the server, or until
 // batch_timeout_us passes; it then claims and stages the batch, and
-// publishes it to its riders. Every caller in the batch — the leader, its riders and,
-// through the leader, the kernel pool — then claims item-row chunks of
-// the batch's one f32 pass (la::ScoreItemsForUsers: item tiles outer,
-// users inner, so the item table is read from memory once per batch),
-// and each caller finishes its own request on its own RequestContext.
-// Batches run concurrently, each on its own callers plus the pool
-// (docs/serving.md).
+// publishes it to its riders. Every caller in the batch — the leader, its
+// riders and, through the leader, the kernel pool — then claims item-row
+// chunks of the batch's one f32 pass (la::ScoreItemsForUsers: item tiles
+// outer, users inner, so the item table is read from memory once per
+// batch), and each caller finishes its own request on its own
+// RequestContext. Batches run concurrently, each on its own callers plus
+// the pool (docs/serving.md).
 //
 // Determinism contract (docs/serving.md): for a fixed index and SIMD
 // backend, the reply for a request is a pure function of the request —
