@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "la/kernels.h"
 
 namespace pup::ag {
 
@@ -114,28 +115,19 @@ void Adam::Step() {
   ++t_;
   const float b1 = options_.beta1;
   const float b2 = options_.beta2;
-  const float bias1 =
-      1.0f - std::pow(b1, static_cast<float>(t_));
-  const float bias2 =
-      1.0f - std::pow(b2, static_cast<float>(t_));
+  const la::AdamStep step = {
+      .learning_rate = learning_rate_,
+      .beta1 = b1,
+      .beta2 = b2,
+      .epsilon = options_.epsilon,
+      .weight_decay = options_.weight_decay,
+      .bias1 = 1.0f - std::pow(b1, static_cast<float>(t_)),
+      .bias2 = 1.0f - std::pow(b2, static_cast<float>(t_)),
+  };
   for (size_t k = 0; k < params_.size(); ++k) {
     const Tensor& p = params_[k];
     if (!p->grad_live()) continue;  // Never touched this step.
-    for (size_t r = 0; r < p->value.rows(); ++r) {
-      float* value = p->value.Row(r);
-      const float* grad = p->grad.Row(r);
-      float* m = m_[k].Row(r);
-      float* v = v_[k].Row(r);
-      for (size_t c = 0; c < p->value.cols(); ++c) {
-        float g = grad[c] + options_.weight_decay * value[c];
-        m[c] = b1 * m[c] + (1.0f - b1) * g;
-        v[c] = b2 * v[c] + (1.0f - b2) * g * g;
-        float m_hat = m[c] / bias1;
-        float v_hat = v[c] / bias2;
-        value[c] -=
-            learning_rate_ * m_hat / (std::sqrt(v_hat) + options_.epsilon);
-      }
-    }
+    la::AdamUpdate(step, p->grad, &p->value, &m_[k], &v_[k]);
   }
 }
 

@@ -202,6 +202,16 @@ void Axpy(float alpha, const Matrix& x, Matrix* out) {
 }
 
 // PUP_HOT
+void AdamUpdate(const AdamStep& step, const Matrix& grad, Matrix* value,
+                Matrix* m, Matrix* v) {
+  PUP_CHECK(grad.SameShape(*value) && m->SameShape(*value) &&
+            v->SameShape(*value));
+  const simd::Backend& be = simd::Active();
+  be.adam(step, grad.data(), value->data(), m->data(), v->data(), 0,
+          value->padded_size());
+}
+
+// PUP_HOT
 void Add(const Matrix& x, const Matrix& y, Matrix* out) {
   PUP_CHECK(x.SameShape(y));
   EnsureShapeNoZero(x.rows(), x.cols(), out);

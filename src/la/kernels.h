@@ -35,6 +35,25 @@ void Spmm(const CsrMatrix& sparse, const Matrix& dense, Matrix* out);
 /// out += alpha * x (elementwise, same shape).
 void Axpy(float alpha, const Matrix& x, Matrix* out);
 
+/// The scalars of one Adam step: the hyper-parameters, and the bias
+/// corrections bias1 = 1 - beta1^t and bias2 = 1 - beta2^t of step t.
+struct AdamStep {
+  float learning_rate;
+  float beta1;
+  float beta2;
+  float epsilon;
+  float weight_decay;
+  float bias1;
+  float bias2;
+};
+
+/// One Adam update (ag::Adam), elementwise over four same-shaped
+/// matrices: the gradient `grad`, the parameter `value`, and its first
+/// and second moment estimates `m` and `v`. Bitwise-identical on every
+/// SIMD backend and at every thread count.
+void AdamUpdate(const AdamStep& step, const Matrix& grad, Matrix* value,
+                Matrix* m, Matrix* v);
+
 /// out = x + y.
 void Add(const Matrix& x, const Matrix& y, Matrix* out);
 

@@ -14,7 +14,10 @@
 //  * Order-preserving: gemm_rows / gemm_ta_rows vectorize across the
 //    output columns j — each out(i,j) sees the exact scalar operation
 //    sequence (mul then add per p, never FMA), so every backend is
-//    bitwise-identical to scalar.
+//    bitwise-identical to scalar. The element-wise axpy and adam run
+//    the scalar loop's IEEE operations (divides and square root
+//    included, all correctly rounded) in its order on every lane, so
+//    they are bitwise-identical to --simd=off as well.
 //  * Lane-reduced: dot_rows, the one f32 dot at the backend's lane width
 //    (RowDot, RowDotDiff, GemmTransB and the f32 ScoreItems* entries all
 //    call it), accumulates in W lane accumulators (tail elements enter as
@@ -45,6 +48,10 @@
 
 #include "common/simd.h"
 #include "obs/registry.h"
+
+namespace pup::la {
+struct AdamStep;  // la/kernels.h
+}  // namespace pup::la
 
 namespace pup::la::simd {
 
@@ -84,6 +91,15 @@ struct Backend {
                    size_t hi, size_t d);
   // out[i] += alpha * x[i] over the flat padded range [lo, hi).
   void (*axpy)(float alpha, const float* x, float* out, size_t lo, size_t hi);
+  // One Adam step over the flat padded range [lo, hi), each element
+  // through the same operations in the same order (s = the step):
+  //   g = grad[i] + s.weight_decay * value[i]
+  //   m[i] = s.beta1 * m[i] + (1 - s.beta1) * g
+  //   v[i] = s.beta2 * v[i] + (1 - s.beta2) * g * g
+  //   value[i] -= s.learning_rate * (m[i] / s.bias1)
+  //               / (sqrt(v[i] / s.bias2) + s.epsilon)
+  void (*adam)(const AdamStep& s, const float* grad, float* value, float* m,
+               float* v, size_t lo, size_t hi);
   // out[i] = sigmoid(x[i]) / tanh(x[i]) over the flat padded [lo, hi).
   void (*sigmoid)(const float* x, float* out, size_t lo, size_t hi);
   void (*tanh)(const float* x, float* out, size_t lo, size_t hi);

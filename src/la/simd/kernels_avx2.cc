@@ -27,6 +27,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "la/kernels.h"
 #include "la/simd/backend.h"
 #include "la/simd/simd_math.h"
 
@@ -291,6 +292,40 @@ void Axpy(float alpha, const float* x, float* out, size_t lo, size_t hi) {
   }
 }
 
+// The scalar loop's operations in its order, 8 elements at a time:
+// divides and square root are correctly rounded IEEE operations and
+// nothing is fused, so every lane is bitwise the scalar element.
+void Adam(const AdamStep& s, const float* grad, float* value, float* m,
+          float* v, size_t lo, size_t hi) {
+  const __m256 wd = _mm256_set1_ps(s.weight_decay);
+  const __m256 b1 = _mm256_set1_ps(s.beta1);
+  const __m256 c1 = _mm256_set1_ps(1.0f - s.beta1);
+  const __m256 b2 = _mm256_set1_ps(s.beta2);
+  const __m256 c2 = _mm256_set1_ps(1.0f - s.beta2);
+  const __m256 bias1 = _mm256_set1_ps(s.bias1);
+  const __m256 bias2 = _mm256_set1_ps(s.bias2);
+  const __m256 lr = _mm256_set1_ps(s.learning_rate);
+  const __m256 eps = _mm256_set1_ps(s.epsilon);
+  for (size_t i = lo; i + kW <= hi; i += kW) {
+    const __m256 x = _mm256_load_ps(value + i);
+    const __m256 g =
+        _mm256_add_ps(_mm256_load_ps(grad + i), _mm256_mul_ps(wd, x));
+    const __m256 mi = _mm256_add_ps(_mm256_mul_ps(b1, _mm256_load_ps(m + i)),
+                                    _mm256_mul_ps(c1, g));
+    const __m256 vi =
+        _mm256_add_ps(_mm256_mul_ps(b2, _mm256_load_ps(v + i)),
+                      _mm256_mul_ps(_mm256_mul_ps(c2, g), g));
+    _mm256_store_ps(m + i, mi);
+    _mm256_store_ps(v + i, vi);
+    const __m256 m_hat = _mm256_div_ps(mi, bias1);
+    const __m256 v_hat = _mm256_div_ps(vi, bias2);
+    const __m256 step =
+        _mm256_div_ps(_mm256_mul_ps(lr, m_hat),
+                      _mm256_add_ps(_mm256_sqrt_ps(v_hat), eps));
+    _mm256_store_ps(value + i, _mm256_sub_ps(x, step));
+  }
+}
+
 void Sigmoid(const float* x, float* out, size_t lo, size_t hi) {
   for (size_t i = lo; i + kW <= hi; i += kW) {
     _mm256_store_ps(out + i, SigmoidPs(_mm256_load_ps(x + i)));
@@ -515,6 +550,7 @@ const Backend& Avx2Backend() {
       &GemmTransARows,
       &DotRows,
       &Axpy,
+      &Adam,
       &Sigmoid,
       &Tanh,
       &FindNonFinite,

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstring>
 
+#include "la/kernels.h"
 #include "la/simd/backend.h"
 
 namespace pup::la::simd {
@@ -55,6 +56,21 @@ void DotRows(const float* x, size_t x_stride, const float* y, size_t y_stride,
 
 void Axpy(float alpha, const float* x, float* out, size_t lo, size_t hi) {
   for (size_t i = lo; i < hi; ++i) out[i] += alpha * x[i];
+}
+
+// The loop ag::Adam::Step ran before the update had a backend slot.
+void Adam(const AdamStep& s, const float* grad, float* value, float* m,
+          float* v, size_t lo, size_t hi) {
+  const float b1 = s.beta1;
+  const float b2 = s.beta2;
+  for (size_t i = lo; i < hi; ++i) {
+    float g = grad[i] + s.weight_decay * value[i];
+    m[i] = b1 * m[i] + (1.0f - b1) * g;
+    v[i] = b2 * v[i] + (1.0f - b2) * g * g;
+    float m_hat = m[i] / s.bias1;
+    float v_hat = v[i] / s.bias2;
+    value[i] -= s.learning_rate * m_hat / (std::sqrt(v_hat) + s.epsilon);
+  }
 }
 
 void Sigmoid(const float* x, float* out, size_t lo, size_t hi) {
@@ -180,6 +196,7 @@ const Backend& ScalarBackend() {
       &GemmTransARows,
       &DotRows,
       &Axpy,
+      &Adam,
       &Sigmoid,
       &Tanh,
       &FindNonFinite,
