@@ -142,7 +142,7 @@ BENCHMARK(BM_FmDecoderEq7)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 //
 // One arena-backed training step at bench scale — tanh(Â·E) over a
 // 3200-node graph, the fused BPR + L2 head on a 1024-triple batch,
-// backward and an SGD update — plus, in Arg(1), the two tape scans the
+// backward and an Adam update — plus, in Arg(1), the two tape scans the
 // trainer runs under --check-numerics. The Arg(0) case records the
 // unguarded per-step time (registration order guarantees it runs first)
 // and reports check_numerics_overhead = 0; the Arg(1) case reports the
@@ -161,7 +161,7 @@ void BM_TrainStepCheckNumerics(benchmark::State& state) {
   Rng rng(7);
   ag::Tensor emb =
       ag::Param(la::Matrix::Gaussian(adj.rows(), 56, 0.05f, &rng));
-  ag::Sgd opt({emb}, 0.05f);
+  ag::Adam opt({emb}, {.learning_rate = 0.05f});
   std::vector<uint32_t> users(1024), pos(1024), neg(1024);
   for (size_t k = 0; k < 1024; ++k) {
     users[k] = static_cast<uint32_t>(rng.NextBelow(2000));
@@ -215,7 +215,7 @@ BENCHMARK(BM_TrainStepCheckNumerics)->Arg(0)->Arg(1);
 //
 // One arena-backed training step at bench scale — tanh(Â·E) over a
 // 3200-node graph, the fused BPR + L2 head on a 1024-triple batch,
-// backward and an SGD update — run with the global metrics switch
+// backward and an Adam update — run with the global metrics switch
 // toggled. The step passes through every instrumented layer (la dispatch
 // counters, thread-pool spans) and adds the same scoped timer the
 // trainer wraps around RunBatchStep, so Arg(1) measures the real
@@ -237,7 +237,7 @@ void BM_TrainStepMetrics(benchmark::State& state) {
   Rng rng(7);
   ag::Tensor emb =
       ag::Param(la::Matrix::Gaussian(adj.rows(), 56, 0.05f, &rng));
-  ag::Sgd opt({emb}, 0.05f);
+  ag::Adam opt({emb}, {.learning_rate = 0.05f});
   std::vector<uint32_t> users(1024), pos(1024), neg(1024);
   for (size_t k = 0; k < 1024; ++k) {
     users[k] = static_cast<uint32_t>(rng.NextBelow(2000));

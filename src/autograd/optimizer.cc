@@ -40,26 +40,6 @@ Status Optimizer::ImportState(const OptimizerState& state) {
   return Status::OK();
 }
 
-Sgd::Sgd(std::vector<Tensor> params, float lr, float weight_decay)
-    : Optimizer(std::move(params)), weight_decay_(weight_decay) {
-  learning_rate_ = lr;
-}
-
-// PUP_HOT
-void Sgd::Step() {
-  for (const Tensor& p : params_) {
-    if (!p->grad_live()) continue;  // Never touched this step.
-    for (size_t r = 0; r < p->value.rows(); ++r) {
-      float* value = p->value.Row(r);
-      const float* grad = p->grad.Row(r);
-      for (size_t c = 0; c < p->value.cols(); ++c) {
-        float g = grad[c] + weight_decay_ * value[c];
-        value[c] -= learning_rate_ * g;
-      }
-    }
-  }
-}
-
 Adam::Adam(std::vector<Tensor> params, Options options)
     : Optimizer(std::move(params)), options_(options) {
   learning_rate_ = options_.learning_rate;

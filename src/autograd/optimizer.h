@@ -61,16 +61,6 @@ class Optimizer {
   float learning_rate_ = 1e-2f;
 };
 
-/// Plain SGD with optional decoupled L2 weight decay.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Tensor> params, float lr, float weight_decay = 0.0f);
-  void Step() override;
-
- private:
-  float weight_decay_;
-};
-
 /// Adam (Kingma & Ba) with optional decoupled L2 weight decay.
 ///
 /// The paper trains every model with Adam at lr = 1e-2, decayed by a

@@ -222,7 +222,7 @@ TEST(GradLifetimeTest, RecycledNodeGradsAreReZeroedEachStep) {
 TEST(GradLifetimeTest, OptimizerSkipsParamsUntouchedThisStep) {
   Tensor a = Param(la::Matrix(1, 1, 1.0f));
   Tensor b = Param(la::Matrix(1, 1, 1.0f));
-  Sgd opt({a, b}, /*lr=*/0.5f);
+  Adam opt({a, b}, {.learning_rate = 0.5f});
   {
     Tensor loss = Mean(Mul(a, b));
     opt.ZeroGrad();
@@ -231,7 +231,7 @@ TEST(GradLifetimeTest, OptimizerSkipsParamsUntouchedThisStep) {
   }
   const float b_after_step1 = b->value(0, 0);
   {
-    // Step 2 never touches b: its grad must not be live and Sgd must
+    // Step 2 never touches b: its grad must not be live and Adam must
     // leave its value alone.
     Tensor loss = Mean(Mul(a, a));
     opt.ZeroGrad();

@@ -348,33 +348,6 @@ TEST(DropoutTest, GradientMatchesMask) {
 
 // ------------------------------ Optimizers -----------------------------
 
-TEST(SgdTest, MinimizesQuadratic) {
-  Tensor x = Param(la::Matrix(1, 1, 5.0f));
-  Sgd opt({x}, /*lr=*/0.1f);
-  for (int i = 0; i < 100; ++i) {
-    opt.ZeroGrad();
-    Tensor loss = SquaredNorm(x);
-    Backward(loss);
-    opt.Step();
-  }
-  EXPECT_NEAR(x->value(0, 0), 0.0f, 1e-4f);
-}
-
-TEST(SgdTest, WeightDecayShrinksUntouchedDirection) {
-  // With pure decay (zero gradient via constant loss), values shrink.
-  Tensor x = Param(la::Matrix(1, 2, {4.0f, -4.0f}));
-  Sgd opt({x}, /*lr=*/0.1f, /*weight_decay=*/1.0f);
-  // Build a loss that gives zero gradient to x: multiply by zero constant.
-  for (int i = 0; i < 10; ++i) {
-    opt.ZeroGrad();
-    Tensor loss = SumAll(Mul(x, Constant(la::Matrix(1, 2, 0.0f))));
-    Backward(loss);
-    opt.Step();
-  }
-  EXPECT_LT(std::abs(x->value(0, 0)), 4.0f);
-  EXPECT_LT(std::abs(x->value(0, 1)), 4.0f);
-}
-
 TEST(AdamTest, MinimizesQuadratic) {
   Tensor x = Param(la::Matrix(2, 2, 3.0f));
   Adam opt({x}, {.learning_rate = 0.1f});
