@@ -1,8 +1,9 @@
 // Tests for the runtime-dispatched SIMD kernel backend (la/simd):
 //  * ISA probe / --simd flag plumbing and the obs export of the choice.
 //  * The determinism taxonomy from docs/simd.md, enforced per backend:
-//     - order-preserving kernels (Gemm / GemmTransA) are bitwise-equal
-//       to the scalar golden path on every backend;
+//     - order-preserving kernels (Gemm / GemmTransA / Axpy and the
+//       Adam update) are bitwise-equal to the scalar golden path on
+//       every backend;
 //     - lane-reduced kernels (RowDot / RowDotDiff / GemmTransB and the
 //       ScoreItems* entries, with and without a bias seed) are
 //       bitwise-equal to a pinned-order lane reference (W zero-padded
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "autograd/ops.h"
+#include "autograd/optimizer.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
@@ -289,6 +291,67 @@ TEST_F(SimdParityTest, AxpyBitwiseEqualAcrossBackends) {
       Matrix out = RandomMatrix(r, c, 5 * r + c);
       la::Axpy(0.37f, x, &out);
       ExpectBitwiseEqual(out, golden, simd::IsaName(isa));
+    }
+  }
+}
+
+// The Adam update is elementwise with correctly rounded divides and
+// square root, so after 50 steps the parameter and both moments are
+// bitwise-equal to --simd=off at one thread, on every backend and pool
+// size. Row counts put each shape across several AdamUpdate chunks
+// (width 65 splits rows between chunks); the per-row gradient scales
+// include zero and tiny values, whose moments run into subnormals.
+TEST_F(SimdParityTest, AdamBitwiseEqualAcrossBackends) {
+  struct Run {
+    Matrix value, m, v;
+  };
+  auto run = [](size_t rows, size_t cols, float weight_decay) {
+    constexpr float kRowScale[] = {1.0f, 1e-3f, 1e3f, 1e-20f, 0.0f};
+    ag::Tensor p = ag::Param(RandomMatrix(rows, cols, 61 * rows + cols));
+    ag::Adam opt({p}, {.weight_decay = weight_decay});
+    for (size_t step = 0; step < 50; ++step) {
+      Matrix g = RandomMatrix(rows, cols, 1000 * step + 7 * rows + cols);
+      for (size_t r = 0; r < rows; ++r) {
+        for (size_t c = 0; c < cols; ++c) g(r, c) *= kRowScale[r % 5];
+      }
+      p->EnsureGrad();
+      p->grad = g;
+      opt.Step();
+    }
+    ag::OptimizerState state = opt.ExportState();
+    return Run{p->value, state.slots[0], state.slots[1]};
+  };
+  auto expect_same = [](const Matrix& got, const Matrix& want,
+                        const std::string& what) {
+    ASSERT_TRUE(got.SameShape(want)) << what;
+    for (size_t r = 0; r < got.rows(); ++r) {
+      ASSERT_EQ(std::memcmp(got.Row(r), want.Row(r),
+                            got.cols() * sizeof(float)),
+                0)
+          << what << " row " << r;
+    }
+  };
+  const std::pair<size_t, size_t> shapes[] = {
+      {9001, 1}, {600, 7}, {150, 56}, {200, 64}, {130, 65}};
+  for (auto [rows, cols] : shapes) {
+    for (float weight_decay : {0.0f, 1e-2f}) {
+      simd::SetActiveIsa(Isa::kOff);
+      ThreadPool::SetGlobalThreads(1);
+      const Run golden = run(rows, cols, weight_decay);
+      for (Isa isa : AllIsas()) {
+        for (int threads : {1, 4}) {
+          simd::SetActiveIsa(isa);
+          ThreadPool::SetGlobalThreads(threads);
+          const Run got = run(rows, cols, weight_decay);
+          const std::string what =
+              std::string(simd::IsaName(isa)) + " threads=" +
+              std::to_string(threads) + " " + std::to_string(rows) + "x" +
+              std::to_string(cols) + " wd=" + std::to_string(weight_decay);
+          expect_same(got.value, golden.value, what + " value");
+          expect_same(got.m, golden.m, what + " m");
+          expect_same(got.v, golden.v, what + " v");
+        }
+      }
     }
   }
 }
