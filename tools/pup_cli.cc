@@ -11,7 +11,10 @@
 //            [--epochs N] [--dim N] [--alpha F] [--l2 F] [--seed N]
 //            [--cutoffs 50,100] [--beta F (value-aware rerank)]
 //       Runs the full pipeline: quantize → k-core → temporal split →
-//       fit on train → report Recall/NDCG on the test split.
+//       fit on train → report Recall/NDCG on the test split. --levels,
+//       --kcore, --epochs, --dim and --seed are parsed strictly, as
+//       serve's integer flags are: 0 is invalid for --levels, --epochs
+//       and --dim, and --dim must be at least 8 for pup.
 //
 //   serve    --index FILE [--topk N] [--requests N] [--clients N]
 //            [--batch B] [--timeout-us T] [--cache N] [--zipf S] [--seed N]
@@ -151,14 +154,40 @@ int RunGenerate(const Flags& flags) {
   return 0;
 }
 
+// Reads integer flag --`name` into `value` (left as is when absent)
+// strictly: a value that is not a non-negative integer, or is below
+// `min`, prints the InvalidArgument and returns false.
+template <typename T>
+bool ReadIntFlag(const Flags& flags, const std::string& name, T min, T* value) {
+  Result<T> parsed = NonNegativeIntFlag<T>(flags, name, *value);
+  Status st = parsed.status();
+  if (st.ok() && *parsed < min) {
+    st = Status::InvalidArgument("--" + name + " must be at least " +
+                                 std::to_string(min));
+  }
+  if (!st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    return false;
+  }
+  *value = *parsed;
+  return true;
+}
+
 // The model `name` configured from `flags`; null (with the reason on
 // stderr) for an unknown name or an invalid flag.
 std::unique_ptr<models::Recommender> MakeModel(const std::string& name,
                                                const Flags& flags) {
   train::TrainOptions t;
-  t.epochs = static_cast<int>(flags.GetInt("epochs", 40));
+  t.epochs = 40;
+  size_t dim = 64;
+  // PUP's category branch is dim / 8 wide and must not be empty.
+  const bool two_branch = name == "pup";
+  if (!ReadIntFlag<int>(flags, "epochs", 1, &t.epochs) ||
+      !ReadIntFlag<uint64_t>(flags, "seed", 0, &t.seed) ||
+      !ReadIntFlag<size_t>(flags, "dim", two_branch ? 8 : 1, &dim)) {
+    return nullptr;
+  }
   t.l2_reg = static_cast<float>(flags.GetDouble("l2", t.l2_reg));
-  t.seed = static_cast<uint64_t>(flags.GetInt("seed", t.seed));
   Result<train::CheckpointOptions> checkpoint =
       train::CheckpointOptionsFromFlags(flags);
   if (!checkpoint.ok()) {
@@ -171,7 +200,6 @@ std::unique_ptr<models::Recommender> MakeModel(const std::string& name,
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return nullptr;
   }
-  size_t dim = static_cast<size_t>(flags.GetInt("dim", 64));
   // Per-node fan-in cap for the graph models; scorer-only models query
   // (and ignore) it so a provided flag never trips the unknown-flag gate.
   Result<size_t> max_neighbors = train::MaxNeighborsFromFlags(flags);
@@ -248,6 +276,12 @@ int RunTrain(const Flags& flags) {
   std::string items = flags.GetString("items", "");
   std::string interactions = flags.GetString("interactions", "");
   if (items.empty() || interactions.empty()) return Usage();
+  size_t levels = 10;
+  size_t kcore = 5;
+  if (!ReadIntFlag<size_t>(flags, "levels", 1, &levels) ||
+      !ReadIntFlag<size_t>(flags, "kcore", 0, &kcore)) {
+    return 2;
+  }
 
   auto loaded = data::LoadCsv(items, interactions);
   if (!loaded.ok()) {
@@ -260,13 +294,12 @@ int RunTrain(const Flags& flags) {
   auto scheme = flags.GetString("quantization", "uniform") == "rank"
                     ? data::QuantizationScheme::kRank
                     : data::QuantizationScheme::kUniform;
-  Status st = data::QuantizeDataset(
-      &ds, static_cast<size_t>(flags.GetInt("levels", 10)), scheme);
+  Status st = data::QuantizeDataset(&ds, levels, scheme);
   if (!st.ok()) {
     std::fprintf(stderr, "quantization failed: %s\n", st.ToString().c_str());
     return 1;
   }
-  ds = data::KCoreFilter(ds, static_cast<size_t>(flags.GetInt("kcore", 5)));
+  ds = data::KCoreFilter(ds, kcore);
   std::printf("dataset after preprocessing: %s\n", ds.Summary().c_str());
 
   data::DataSplit split = data::TemporalSplit(ds);
@@ -364,25 +397,6 @@ int RunTrain(const Flags& flags) {
   }
   std::printf("%s", table.ToString().c_str());
   return 0;
-}
-
-// Reads integer flag --`name` into `value` (left as is when absent)
-// strictly: a value that is not a non-negative integer, or is below
-// `min`, prints the InvalidArgument and returns false.
-template <typename T>
-bool ReadIntFlag(const Flags& flags, const std::string& name, T min, T* value) {
-  Result<T> parsed = NonNegativeIntFlag<T>(flags, name, *value);
-  Status st = parsed.status();
-  if (st.ok() && *parsed < min) {
-    st = Status::InvalidArgument("--" + name + " must be at least " +
-                                 std::to_string(min));
-  }
-  if (!st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return false;
-  }
-  *value = *parsed;
-  return true;
 }
 
 int RunServe(const Flags& flags) {
