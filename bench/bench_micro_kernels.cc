@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <string>
 #include <thread>
@@ -587,6 +588,60 @@ void BM_FindNonFiniteSimd(benchmark::State& state) {
                   1.0 * kRows * kD);
 }
 BENCHMARK(BM_FindNonFiniteSimd)->Apply(SimdSweepArgs);
+
+// --- Adam update: every backend at 1 and 4 pool threads ----------------
+//
+// One Adam step over a 4800 x 64 table, the user table of the ledger's
+// train-mf world (Yelp-like at scale 2). Args are {isa, threads}; the
+// scalar case of each thread count registers first, so the vector case
+// reports speedup_vs_scalar at the same pool size. ns_per_element is
+// the time per table element.
+
+void AdamSweepArgs(benchmark::internal::Benchmark* b) {
+  for (int threads : {1, 4}) {
+    b->Args({static_cast<int>(simd::Isa::kOff), threads});
+    if (simd::IsaSupported(simd::Isa::kAvx2)) {
+      b->Args({static_cast<int>(simd::Isa::kAvx2), threads});
+    }
+  }
+}
+
+void BM_AdamUpdate(benchmark::State& state) {
+  const auto isa = static_cast<simd::Isa>(state.range(0));
+  const int threads = static_cast<int>(state.range(1));
+  ScopedIsa pin(isa);
+  ThreadPool::SetGlobalThreads(threads);
+  constexpr size_t kRows = 4800, kD = 64;
+  la::Matrix value = RandomMatrix(kRows, kD, 14);
+  const la::Matrix grad = RandomMatrix(kRows, kD, 15);
+  la::Matrix m(kRows, kD), v(kRows, kD);
+  // The bias corrections of step 10 at the paper's lr and betas.
+  const la::AdamStep step = {.learning_rate = 1e-2f,
+                             .beta1 = 0.9f,
+                             .beta2 = 0.999f,
+                             .epsilon = 1e-8f,
+                             .weight_decay = 0.0f,
+                             .bias1 = 1.0f - std::pow(0.9f, 10.0f),
+                             .bias2 = 1.0f - std::pow(0.999f, 10.0f)};
+  Stopwatch timer;
+  size_t iters = 0;
+  for (auto _ : state) {
+    la::AdamUpdate(step, grad, &value, &m, &v);
+    benchmark::DoNotOptimize(value.data());
+    benchmark::ClobberMemory();
+    ++iters;
+  }
+  const double seconds = timer.Seconds();
+  // 16 flops per element: weight decay 2, m 3, v 4, and 7 for the two
+  // bias divides, the square root, epsilon and the scaled step.
+  RecordSimdSweep(state, "adam_4800x64_t" + std::to_string(threads), isa,
+                  seconds, iters, 16.0 * kRows * kD);
+  state.counters["pool_threads"] = static_cast<double>(threads);
+  state.counters["ns_per_element"] =
+      seconds * 1e9 / static_cast<double>(iters) / (kRows * kD);
+  ThreadPool::SetGlobalThreads(0);
+}
+BENCHMARK(BM_AdamUpdate)->Apply(AdamSweepArgs);
 
 // --- Quantized fastscan vs the f32 serving scan at the same shape ------
 //
