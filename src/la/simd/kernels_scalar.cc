@@ -58,7 +58,6 @@ void Axpy(float alpha, const float* x, float* out, size_t lo, size_t hi) {
   for (size_t i = lo; i < hi; ++i) out[i] += alpha * x[i];
 }
 
-// The loop ag::Adam::Step ran before the update had a backend slot.
 void Adam(const AdamStep& s, const float* grad, float* value, float* m,
           float* v, size_t lo, size_t hi) {
   const float b1 = s.beta1;
