@@ -306,6 +306,39 @@ TEST(CkptFormatTest, MatrixSectionWhoseShapeOverflowsIsRejected) {
             StatusCode::kInvalidArgument);
 }
 
+// A section's u64 payload length comes from the file. One near 2^64 must
+// not wrap `offset + length` past the end-of-file check: here the sum
+// wraps to 1, which is inside the 97-byte file, so a check done in u64
+// lets the section through and only the CRC would stop it. The reader
+// must call it what it is, a truncated section.
+TEST(CkptFormatTest, SectionLengthThatWrapsIsRejectedAsTruncated) {
+  const std::string path = FreshDir("wrap") + "/a.pupc";
+  ckpt::Writer writer(TestFingerprint());
+  writer.AddBytes("model/emb", std::string(16, 'x'));
+  ASSERT_TRUE(writer.WriteFile(path).ok());
+  // Header 56, name length 4, name 9, payload length 8, payload 16, CRC 4.
+  ASSERT_EQ(fs::file_size(path), 97u);
+
+  // The payload starts at offset 77; 77 + (2^64 - 76) wraps to 1.
+  constexpr size_t kLengthOffset = 56 + 4 + 9;
+  constexpr size_t kPayloadOffset = kLengthOffset + 8;
+  const uint64_t wrapping_len = ~uint64_t{0} - (kPayloadOffset - 2);
+  ASSERT_EQ(kPayloadOffset + wrapping_len, 1u);
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    f.seekp(static_cast<std::streamoff>(kLengthOffset));
+    f.write(reinterpret_cast<const char*>(&wrapping_len),
+            sizeof(wrapping_len));
+  }
+
+  auto reader = ckpt::Reader::Open(path);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kIOError);
+  EXPECT_NE(reader.status().message().find("truncated"), std::string::npos)
+      << reader.status().ToString();
+}
+
 TEST(CkptFormatTest, OptimizerStateRoundTrip) {
   // Train a few steps so the moments are non-trivial, snapshot, restore
   // into a fresh optimizer, and compare every slot bitwise.
