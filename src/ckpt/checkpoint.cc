@@ -286,7 +286,9 @@ Result<Reader> Reader::Open(const std::string& path) {
   for (uint32_t i = 0; i < section_count; ++i) {
     uint32_t name_len = 0;
     PUP_RETURN_NOT_OK(ReadPod(blob, &offset, &name_len));
-    if (offset + name_len > blob.size()) {
+    // Compare against what is left, never offset + length: a length read
+    // from the file can be near 2^64 and wrap the sum past this check.
+    if (name_len > blob.size() - offset) {
       return Status::IOError("checkpoint truncated in section name: " + path);
     }
     std::string name(blob, offset, name_len);
@@ -298,7 +300,7 @@ Result<Reader> Reader::Open(const std::string& path) {
     }
     uint64_t payload_len = 0;
     PUP_RETURN_NOT_OK(ReadPod(blob, &offset, &payload_len));
-    if (offset + payload_len > blob.size()) {
+    if (payload_len > blob.size() - offset) {
       return Status::IOError("checkpoint truncated in section '" + name +
                              "': " + path);
     }
