@@ -19,8 +19,9 @@ struct OptimizerState {
   std::vector<la::Matrix> slots;
 };
 
-/// Base class: owns the parameter list, applies Step() from accumulated
-/// gradients, then the caller zeroes gradients for the next batch.
+/// Base class: owns the parameter list and the update state, applies
+/// Step() from accumulated gradients, then the caller zeroes gradients for
+/// the next batch.
 class Optimizer {
  public:
   explicit Optimizer(std::vector<Tensor> params);
@@ -33,32 +34,35 @@ class Optimizer {
   void ZeroGrad();
 
   /// Current learning rate.
-  float learning_rate() const { return learning_rate_; }
+  float learning_rate() const { return state_.learning_rate; }
 
   /// Changes the learning rate (used for the paper's /10 decay schedule).
-  void SetLearningRate(float lr) { learning_rate_ = lr; }
+  void SetLearningRate(float lr) { state_.learning_rate = lr; }
 
-  /// Exports the full update state (see OptimizerState). Base: step 0,
-  /// the learning rate, no slots.
-  virtual OptimizerState ExportState() const;
+  /// The full update state (see OptimizerState): the live step, rate and
+  /// slots, not a copy, so a checkpoint writer reads the moments in
+  /// place. The reference is valid for the optimizer's lifetime and sees
+  /// every later Step.
+  const OptimizerState& ExportState() const { return state_; }
 
   /// Checks that `state` could be imported into this optimizer (slot
   /// count and shapes) without mutating anything. ImportState runs the
   /// same check first; callers that must sequence several restores
   /// all-or-nothing (train::TryResumeCheckpoint) call this up front so a
   /// doomed import is rejected before any sibling state is mutated.
-  virtual Status ValidateState(const OptimizerState& state) const;
+  Status ValidateState(const OptimizerState& state) const;
 
   /// Restores a state exported by the same optimizer type over the same
   /// parameter shapes. Validates everything (ValidateState) before
   /// mutating, so a failed import leaves the optimizer untouched.
-  virtual Status ImportState(const OptimizerState& state);
+  Status ImportState(const OptimizerState& state);
 
   const std::vector<Tensor>& params() const { return params_; }
 
  protected:
   std::vector<Tensor> params_;
-  float learning_rate_ = 1e-2f;
+  /// Step counter, learning rate (default 1e-2) and the subclass's slots.
+  OptimizerState state_ = {.step = 0, .learning_rate = 1e-2f, .slots = {}};
 };
 
 /// Adam (Kingma & Ba) with optional decoupled L2 weight decay.
@@ -75,19 +79,13 @@ class Adam : public Optimizer {
     float weight_decay = 0.0f;
   };
 
+  /// Slots: [m_0 … m_{k-1}, v_0 … v_{k-1}] for k parameters — the first-
+  /// and second-moment estimates, updated in place by Step.
   Adam(std::vector<Tensor> params, Options options);
   void Step() override;
 
-  /// Slots: [m_0 … m_{k-1}, v_0 … v_{k-1}] for k parameters.
-  OptimizerState ExportState() const override;
-  Status ValidateState(const OptimizerState& state) const override;
-  Status ImportState(const OptimizerState& state) override;
-
  private:
   Options options_;
-  int64_t t_ = 0;
-  std::vector<la::Matrix> m_;  // First-moment estimates, one per param.
-  std::vector<la::Matrix> v_;  // Second-moment estimates.
 };
 
 }  // namespace pup::ag

@@ -1,5 +1,6 @@
 #include "ckpt/checkpoint.h"
 
+#include <array>
 #include <bit>
 #include <cstdio>
 #include <cstring>
@@ -30,9 +31,11 @@ void AppendPod(std::string* out, const T& v) {
   out->append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
+// Reads a T at `*offset`, where *offset <= buf.size() always holds, so
+// the bound is checked against the bytes left rather than by a sum.
 template <typename T>
-Status ReadPod(const std::string& buf, size_t* offset, T* out) {
-  if (*offset + sizeof(T) > buf.size()) {
+Status ReadPod(std::string_view buf, size_t* offset, T* out) {
+  if (sizeof(T) > buf.size() - *offset) {
     return Status::IOError("checkpoint truncated inside a fixed field");
   }
   std::memcpy(out, buf.data() + *offset, sizeof(T));
@@ -40,62 +43,118 @@ Status ReadPod(const std::string& buf, size_t* offset, T* out) {
   return Status::OK();
 }
 
-// Per-byte CRC-32 table for the reflected IEEE polynomial 0xEDB88320,
-// built on first use.
-const uint32_t* Crc32Table() {
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
+// Slicing-by-8 tables for the reflected IEEE polynomial 0xEDB88320, built
+// on first use. Table 0 is the classic per-byte table: the CRC register
+// after feeding one byte into a zero register. Table k is the same byte
+// followed by k zero bytes, so one 8-byte step XORs eight lookups, one per
+// byte, each already shifted to where the byte-at-a-time loop would have
+// left its contribution. CRC is linear over GF(2), so the result is
+// bit-for-bit the byte loop's.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+const Crc32Tables& Crc32Table() {
+  static const Crc32Tables tables = [] {
+    Crc32Tables t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (size_t k = 1; k < t.size(); ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+      }
     }
     return t;
   }();
-  return table;
+  return tables;
 }
 
 // A matrix section is u64 rows, u64 cols, then rows*cols float32, all
 // dense row-major over the LOGICAL elements: the padded leading
 // dimension (matrix.h) is an in-memory layout detail, so the bytes do not
-// depend on the stride.
-void AppendMatrixBytes(const la::Matrix& m, std::string* out) {
-  AppendPod(out, static_cast<uint64_t>(m.rows()));
-  AppendPod(out, static_cast<uint64_t>(m.cols()));
-  for (size_t r = 0; r < m.rows(); ++r) {
-    out->append(reinterpret_cast<const char*>(m.Row(r)),
-                m.cols() * sizeof(float));
-  }
+// depend on the stride. This is the 16-byte rows/cols header; WriteFile
+// streams the rows after it.
+std::string MatrixHeader(const la::Matrix& m) {
+  std::string header;
+  AppendPod(&header, static_cast<uint64_t>(m.rows()));
+  AppendPod(&header, static_cast<uint64_t>(m.cols()));
+  return header;
 }
 
-Result<la::Matrix> ParseMatrixBytes(const std::string& buf, size_t* offset) {
-  uint64_t rows = 0, cols = 0;
-  if (*offset + 2 * sizeof(uint64_t) > buf.size()) {
+// Parses the rows/cols header of matrix section `name`, checking that
+// the rows fill `buf` exactly.
+Status ParseMatrixShape(std::string_view buf, const std::string& name,
+                        size_t* rows, size_t* cols) {
+  uint64_t r = 0, c = 0;
+  if (2 * sizeof(uint64_t) > buf.size()) {
     return Status::OutOfRange("matrix header past end of buffer");
   }
-  std::memcpy(&rows, buf.data() + *offset, sizeof(rows));
-  std::memcpy(&cols, buf.data() + *offset + sizeof(rows), sizeof(cols));
-  const size_t pos = *offset + 2 * sizeof(uint64_t);
+  std::memcpy(&r, buf.data(), sizeof(r));
+  std::memcpy(&c, buf.data() + sizeof(r), sizeof(c));
   // Divide instead of multiplying: rows * cols wraps in u64 (2^32 x 2^32
   // is 0), and a wrapped count would pass both size checks.
   constexpr uint64_t kMaxElements = 1ull << 32;
-  if (cols != 0 && rows > kMaxElements / cols) {
+  if (c != 0 && r > kMaxElements / c) {
     return Status::InvalidArgument("matrix too large in serialized header");
   }
-  const size_t bytes = static_cast<size_t>(rows * cols) * sizeof(float);
-  if (pos + bytes > buf.size()) {
+  const uint64_t bytes = r * c * sizeof(float);
+  const size_t left = buf.size() - 2 * sizeof(uint64_t);
+  if (bytes > left) {
     return Status::OutOfRange("matrix data past end of buffer (truncated?)");
   }
-  la::Matrix m(static_cast<size_t>(rows), static_cast<size_t>(cols));
-  const size_t row_bytes = m.cols() * sizeof(float);
-  for (size_t r = 0; r < m.rows(); ++r) {
-    std::memcpy(m.Row(r), buf.data() + pos + r * row_bytes, row_bytes);
+  if (bytes != left) {
+    return Status::IOError("matrix section '" + name + "' has trailing bytes");
   }
-  *offset = pos + bytes;
-  return m;
+  *rows = static_cast<size_t>(r);
+  *cols = static_cast<size_t>(c);
+  return Status::OK();
 }
+
+// Copies the dense rows of a matrix section whose shape ParseMatrixShape
+// accepted into `m`, which has that shape.
+void CopyMatrixRows(std::string_view buf, la::Matrix* m) {
+  const char* rows = buf.data() + 2 * sizeof(uint64_t);
+  const size_t row_bytes = m->cols() * sizeof(float);
+  if (m->IsContiguous()) {
+    if (m->size() > 0) std::memcpy(m->data(), rows, m->size() * sizeof(float));
+    return;
+  }
+  for (size_t r = 0; r < m->rows(); ++r) {
+    std::memcpy(m->Row(r), rows + r * row_bytes, row_bytes);
+  }
+}
+
+// Writes to an open file, counting bytes. The first short write latches
+// `ok()` false; later writes are skipped.
+class FileSink {
+ public:
+  explicit FileSink(std::FILE* f) : f_(f) {}
+
+  void Write(const void* data, size_t len) {
+    if (ok_ && len > 0 && std::fwrite(data, 1, len, f_) != len) ok_ = false;
+    bytes_ += len;
+  }
+  template <typename T>
+  void WritePod(const T& v) {
+    Write(&v, sizeof(v));
+  }
+  // Writes `len` bytes and returns `crc` continued over them.
+  uint32_t WriteCrc(const void* data, size_t len, uint32_t crc) {
+    Write(data, len);
+    return Crc32(data, len, crc);
+  }
+
+  bool ok() const { return ok_; }
+  uint64_t bytes() const { return bytes_; }
+
+ private:
+  std::FILE* f_;
+  bool ok_ = true;
+  uint64_t bytes_ = 0;
+};
 
 // FNV-1a 64-bit over a POD value, continuing from `h`.
 template <typename T>
@@ -111,12 +170,22 @@ uint64_t FnvMix(uint64_t h, const T& v) {
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t len, uint32_t seed) {
-  const uint32_t* table = Crc32Table();
+  const Crc32Tables& t = Crc32Table();
   uint32_t c = seed ^ 0xFFFFFFFFu;
   const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  // Eight bytes per step: the register folds into the first four (the
+  // host is little-endian, static_asserted above), and each byte indexes
+  // the table for the number of bytes that follow it in the step.
+  for (; len >= 8; p += 8, len -= 8) {
+    uint32_t lo = 0, hi = 0;
+    std::memcpy(&lo, p, 4);
+    std::memcpy(&hi, p + 4, 4);
+    lo ^= c;
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; len > 0; ++p, --len) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -144,19 +213,21 @@ std::string DatasetFingerprint::ToString() const {
   return out.str();
 }
 
-void Writer::AddBytes(const std::string& name, std::string payload) {
+void Writer::AddSection(const std::string& name, std::string bytes,
+                        const la::Matrix* matrix) {
   PUP_CHECK_MSG(!name.empty(), "checkpoint section needs a name");
-  for (const auto& [existing, _] : sections_) {
-    PUP_CHECK_MSG(existing != name, "duplicate checkpoint section");
+  for (const Section& existing : sections_) {
+    PUP_CHECK_MSG(existing.name != name, "duplicate checkpoint section");
   }
-  sections_.emplace_back(name, std::move(payload));
+  sections_.push_back({name, std::move(bytes), matrix});
+}
+
+void Writer::AddBytes(const std::string& name, std::string payload) {
+  AddSection(name, std::move(payload), nullptr);
 }
 
 void Writer::AddMatrix(const std::string& name, const la::Matrix& m) {
-  std::string payload;
-  payload.reserve(2 * sizeof(uint64_t) + m.size() * sizeof(float));
-  AppendMatrixBytes(m, &payload);
-  AddBytes(name, std::move(payload));
+  AddSection(name, MatrixHeader(m), &m);
 }
 
 void Writer::AddU64(const std::string& name, uint64_t v) {
@@ -186,34 +257,48 @@ void Writer::AddRng(const std::string& name, const RngState& state) {
 
 Status Writer::WriteFile(const std::string& path) const {
   PUP_OBS_SCOPED_TIMER("ckpt/write");
-  std::string blob;
-  blob.reserve(kHeaderSize);
-  blob.append(kMagic, 4);
-  AppendPod(&blob, kFormatVersion);
-  AppendPod(&blob, fingerprint_.num_users);
-  AppendPod(&blob, fingerprint_.num_items);
-  AppendPod(&blob, fingerprint_.num_categories);
-  AppendPod(&blob, fingerprint_.num_price_levels);
-  AppendPod(&blob, fingerprint_.interaction_hash);
-  AppendPod(&blob, static_cast<uint32_t>(sections_.size()));
-  AppendPod(&blob, Crc32(blob.data(), blob.size()));
-  PUP_CHECK_EQ(blob.size(), kHeaderSize);
-
-  for (const auto& [name, payload] : sections_) {
-    AppendPod(&blob, static_cast<uint32_t>(name.size()));
-    blob.append(name);
-    AppendPod(&blob, static_cast<uint64_t>(payload.size()));
-    blob.append(payload);
-    uint32_t crc = Crc32(name.data(), name.size());
-    crc = Crc32(payload.data(), payload.size(), crc);
-    AppendPod(&blob, crc);
-  }
+  std::string header;
+  header.reserve(kHeaderSize);
+  header.append(kMagic, 4);
+  AppendPod(&header, kFormatVersion);
+  AppendPod(&header, fingerprint_.num_users);
+  AppendPod(&header, fingerprint_.num_items);
+  AppendPod(&header, fingerprint_.num_categories);
+  AppendPod(&header, fingerprint_.num_price_levels);
+  AppendPod(&header, fingerprint_.interaction_hash);
+  AppendPod(&header, static_cast<uint32_t>(sections_.size()));
+  AppendPod(&header, Crc32(header.data(), header.size()));
+  PUP_CHECK_EQ(header.size(), kHeaderSize);
 
   const std::string tmp = path + ".tmp";
+  uint64_t bytes_written = 0;
   {
     FilePtr f(std::fopen(tmp.c_str(), "wb"));
     if (!f) return Status::IOError("cannot open for write: " + tmp);
-    if (std::fwrite(blob.data(), 1, blob.size(), f.get()) != blob.size()) {
+    // Each section goes from its source through one CRC pass into the
+    // file: a matrix's rows from the tensor's own memory, in one run
+    // when they are dense and row by row past the pad lanes otherwise.
+    // The CRC covers name and payload, not the two length fields.
+    FileSink out(f.get());
+    out.Write(header.data(), header.size());
+    for (const Section& section : sections_) {
+      const la::Matrix* m = section.matrix;
+      const uint64_t body = m ? m->size() * sizeof(float) : 0;
+      out.WritePod(static_cast<uint32_t>(section.name.size()));
+      out.Write(section.name.data(), section.name.size());
+      out.WritePod(static_cast<uint64_t>(section.bytes.size() + body));
+      uint32_t crc = Crc32(section.name.data(), section.name.size());
+      crc = out.WriteCrc(section.bytes.data(), section.bytes.size(), crc);
+      if (m != nullptr && m->IsContiguous()) {
+        crc = out.WriteCrc(m->data(), body, crc);
+      } else if (m != nullptr) {
+        for (size_t r = 0; r < m->rows(); ++r) {
+          crc = out.WriteCrc(m->Row(r), m->cols() * sizeof(float), crc);
+        }
+      }
+      out.WritePod(crc);
+    }
+    if (!out.ok()) {
       std::remove(tmp.c_str());
       return Status::IOError("short write: " + tmp);
     }
@@ -221,19 +306,21 @@ Status Writer::WriteFile(const std::string& path) const {
       std::remove(tmp.c_str());
       return Status::IOError("flush failed: " + tmp);
     }
+    bytes_written = out.bytes();
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     return Status::IOError("rename to " + path + " failed");
   }
   PUP_OBS_COUNT("ckpt/files_written", 1);
-  PUP_OBS_COUNT("ckpt/bytes_written", blob.size());
+  PUP_OBS_COUNT("ckpt/bytes_written", bytes_written);
   return Status::OK();
 }
 
 Result<Reader> Reader::Open(const std::string& path) {
   PUP_OBS_SCOPED_TIMER("ckpt/open");
-  std::string blob;
+  Reader reader;
+  std::string& blob = reader.file_;
   {
     FilePtr f(std::fopen(path.c_str(), "rb"));
     if (!f) return Status::IOError("cannot open checkpoint: " + path);
@@ -260,7 +347,6 @@ Result<Reader> Reader::Open(const std::string& path) {
   PUP_OBS_SCOPED_TIMER("ckpt/crc_validate");
   size_t offset = 4;
   uint32_t version = 0;
-  Reader reader;
   PUP_RETURN_NOT_OK(ReadPod(blob, &offset, &version));
   if (version != kFormatVersion) {
     return Status::InvalidArgument(
@@ -291,30 +377,32 @@ Result<Reader> Reader::Open(const std::string& path) {
     if (name_len > blob.size() - offset) {
       return Status::IOError("checkpoint truncated in section name: " + path);
     }
+    const size_t name_offset = offset;
     std::string name(blob, offset, name_len);
     offset += name_len;
     // The name itself may be the corrupted part — keep error messages
     // printable.
-    for (char& c : name) {
+    std::string printable = name;
+    for (char& c : printable) {
       if (c < 0x20 || c == 0x7f) c = '?';
     }
     uint64_t payload_len = 0;
     PUP_RETURN_NOT_OK(ReadPod(blob, &offset, &payload_len));
     if (payload_len > blob.size() - offset) {
-      return Status::IOError("checkpoint truncated in section '" + name +
+      return Status::IOError("checkpoint truncated in section '" + printable +
                              "': " + path);
     }
-    std::string payload(blob, offset, static_cast<size_t>(payload_len));
-    offset += static_cast<size_t>(payload_len);
+    const Span payload = {offset, static_cast<size_t>(payload_len)};
+    offset += payload.size;
     uint32_t stored_crc = 0;
     PUP_RETURN_NOT_OK(ReadPod(blob, &offset, &stored_crc));
-    uint32_t crc = Crc32(name.data(), name.size());
-    crc = Crc32(payload.data(), payload.size(), crc);
+    uint32_t crc = Crc32(blob.data() + name_offset, name_len);
+    crc = Crc32(blob.data() + payload.offset, payload.size, crc);
     if (crc != stored_crc) {
-      return Status::IOError("checkpoint CRC mismatch in section '" + name +
-                             "' (corrupt data): " + path);
+      return Status::IOError("checkpoint CRC mismatch in section '" +
+                             printable + "' (corrupt data): " + path);
     }
-    reader.sections_.emplace(std::move(name), std::move(payload));
+    reader.sections_.emplace(std::move(name), payload);
   }
   if (offset != blob.size()) {
     return Status::IOError("checkpoint has trailing garbage: " + path);
@@ -342,58 +430,57 @@ std::vector<std::string> Reader::SectionNames() const {
   return names;
 }
 
-Result<const std::string*> Reader::Section(const std::string& name) const {
+Result<std::string_view> Reader::Payload(const std::string& name) const {
   auto it = sections_.find(name);
   if (it == sections_.end()) {
     return Status::NotFound("checkpoint has no section '" + name + "'");
   }
-  return &it->second;
+  return std::string_view(file_).substr(it->second.offset, it->second.size);
 }
 
 Result<la::Matrix> Reader::GetMatrix(const std::string& name) const {
-  PUP_ASSIGN_OR_RETURN(const std::string* payload, Section(name));
-  size_t offset = 0;
-  PUP_ASSIGN_OR_RETURN(la::Matrix m, ParseMatrixBytes(*payload, &offset));
-  if (offset != payload->size()) {
-    return Status::IOError("matrix section '" + name + "' has trailing bytes");
-  }
+  PUP_ASSIGN_OR_RETURN(std::string_view payload, Payload(name));
+  size_t rows = 0, cols = 0;
+  PUP_RETURN_NOT_OK(ParseMatrixShape(payload, name, &rows, &cols));
+  la::Matrix m(rows, cols);
+  CopyMatrixRows(payload, &m);
   return m;
 }
 
 Result<uint64_t> Reader::GetU64(const std::string& name) const {
-  PUP_ASSIGN_OR_RETURN(const std::string* payload, Section(name));
+  PUP_ASSIGN_OR_RETURN(std::string_view payload, Payload(name));
   uint64_t v = 0;
   size_t offset = 0;
-  PUP_RETURN_NOT_OK(ReadPod(*payload, &offset, &v));
+  PUP_RETURN_NOT_OK(ReadPod(payload, &offset, &v));
   return v;
 }
 
 Result<float> Reader::GetF32(const std::string& name) const {
-  PUP_ASSIGN_OR_RETURN(const std::string* payload, Section(name));
+  PUP_ASSIGN_OR_RETURN(std::string_view payload, Payload(name));
   float v = 0.0f;
   size_t offset = 0;
-  PUP_RETURN_NOT_OK(ReadPod(*payload, &offset, &v));
+  PUP_RETURN_NOT_OK(ReadPod(payload, &offset, &v));
   return v;
 }
 
 Result<std::string> Reader::GetString(const std::string& name) const {
-  PUP_ASSIGN_OR_RETURN(const std::string* payload, Section(name));
-  return *payload;
+  PUP_ASSIGN_OR_RETURN(std::string_view payload, Payload(name));
+  return std::string(payload);
 }
 
 Result<RngState> Reader::GetRng(const std::string& name) const {
-  PUP_ASSIGN_OR_RETURN(const std::string* payload, Section(name));
-  if (payload->size() != 6 * sizeof(uint64_t)) {
+  PUP_ASSIGN_OR_RETURN(std::string_view payload, Payload(name));
+  if (payload.size() != 6 * sizeof(uint64_t)) {
     return Status::IOError("RNG section '" + name + "' has wrong size");
   }
   RngState state;
   size_t offset = 0;
   for (uint64_t& word : state.s) {
-    PUP_RETURN_NOT_OK(ReadPod(*payload, &offset, &word));
+    PUP_RETURN_NOT_OK(ReadPod(payload, &offset, &word));
   }
   uint64_t have = 0, cached = 0;
-  PUP_RETURN_NOT_OK(ReadPod(*payload, &offset, &have));
-  PUP_RETURN_NOT_OK(ReadPod(*payload, &offset, &cached));
+  PUP_RETURN_NOT_OK(ReadPod(payload, &offset, &have));
+  PUP_RETURN_NOT_OK(ReadPod(payload, &offset, &cached));
   state.have_cached_gaussian = have != 0;
   state.cached_gaussian = std::bit_cast<double>(cached);
   return state;
@@ -401,14 +488,16 @@ Result<RngState> Reader::GetRng(const std::string& name) const {
 
 Status Reader::ReadMatrixInto(const std::string& name,
                               la::Matrix* dst) const {
-  PUP_ASSIGN_OR_RETURN(la::Matrix m, GetMatrix(name));
-  if (!m.SameShape(*dst)) {
+  PUP_ASSIGN_OR_RETURN(std::string_view payload, Payload(name));
+  size_t rows = 0, cols = 0;
+  PUP_RETURN_NOT_OK(ParseMatrixShape(payload, name, &rows, &cols));
+  if (rows != dst->rows() || cols != dst->cols()) {
     return Status::FailedPrecondition(
-        "matrix section '" + name + "' is " + std::to_string(m.rows()) + "x" +
-        std::to_string(m.cols()) + " but the live tensor is " +
+        "matrix section '" + name + "' is " + std::to_string(rows) + "x" +
+        std::to_string(cols) + " but the live tensor is " +
         std::to_string(dst->rows()) + "x" + std::to_string(dst->cols()));
   }
-  *dst = std::move(m);
+  CopyMatrixRows(payload, dst);
   return Status::OK();
 }
 

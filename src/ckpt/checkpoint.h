@@ -12,16 +12,20 @@
 //   │ section: u32 name_len │ name │ u64 size │ payload │ CRC32│ ×N
 //   └──────────────────────────────────────────────────────────┘
 //
-// Writes are atomic (tmp file + rename), so a crash mid-save never
-// clobbers the previous snapshot. Reader::Open validates every CRC up
-// front: a truncated or bit-flipped file is rejected with a descriptive
-// Status before any state is touched. All integers are little-endian.
+// Writer::WriteFile streams the file: each section goes from its source
+// (a matrix section straight from the live tensor's memory) through one
+// CRC pass into a tmp file, which is renamed over the target, so a crash
+// mid-save never clobbers the previous snapshot. Reader::Open reads the
+// file into one buffer and validates every CRC up front: a truncated or
+// bit-flipped file is rejected with a descriptive Status before any state
+// is touched, and the getters parse from that buffer afterwards. All
+// integers are little-endian.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -35,8 +39,9 @@ namespace pup::ckpt {
 /// different major format (see docs/checkpointing.md for compat rules).
 inline constexpr uint32_t kFormatVersion = 1;
 
-/// CRC-32 (IEEE 802.3 polynomial, the zlib convention) of `len` bytes.
-/// Pass a previous return value as `seed` to checksum incrementally.
+/// CRC-32 (IEEE 802.3 polynomial, the zlib convention) of `len` bytes,
+/// eight bytes per step (slicing-by-8). Pass a previous return value as
+/// `seed` to checksum incrementally.
 uint32_t Crc32(const void* data, size_t len, uint32_t seed = 0);
 
 /// Identity of the dataset a checkpoint belongs to: the id-space sizes
@@ -69,23 +74,41 @@ class Writer {
   /// train::TrainableState.
   void AddBytes(const std::string& name, std::string payload);
 
+  /// Adds a matrix section WITHOUT copying `m`: the writer keeps a
+  /// reference, and WriteFile reads the rows from `m`'s own memory. `m`
+  /// must outlive WriteFile and stay unchanged until it returns. A
+  /// temporary would dangle, so an rvalue matrix does not compile.
   void AddMatrix(const std::string& name, const la::Matrix& m);
+  void AddMatrix(const std::string& name, la::Matrix&& m) = delete;
+
   void AddU64(const std::string& name, uint64_t v);
   void AddF32(const std::string& name, float v);
   void AddString(const std::string& name, const std::string& s);
   void AddRng(const std::string& name, const RngState& state);
 
-  /// Serializes header + sections to `path` via a temporary file and an
+  /// Streams header + sections to `path` via a temporary file and an
   /// atomic rename; on any error the previous file at `path` is intact.
   Status WriteFile(const std::string& path) const;
 
  private:
+  // One section: `bytes` is the whole payload, or for a matrix its
+  // 16-byte rows/cols header followed on disk by `matrix`'s rows.
+  struct Section {
+    std::string name;
+    std::string bytes;
+    const la::Matrix* matrix = nullptr;
+  };
+
+  void AddSection(const std::string& name, std::string bytes,
+                  const la::Matrix* matrix);
+
   DatasetFingerprint fingerprint_;
-  std::vector<std::pair<std::string, std::string>> sections_;
+  std::vector<Section> sections_;
 };
 
-/// Parses and fully validates a checkpoint file; all section getters are
-/// cheap lookups afterwards.
+/// Parses and fully validates a checkpoint file. The reader keeps the file
+/// in one buffer; the getters parse from it, and only GetString copies a
+/// payload out.
 class Reader {
  public:
   /// Reads `path`, checks magic, format version, and every CRC. Returns
@@ -112,12 +135,20 @@ class Reader {
   Status ReadMatrixInto(const std::string& name, la::Matrix* dst) const;
 
  private:
+  // Where a section's payload lies in `file_`. Offsets, not views: a view
+  // into `file_` would dangle once the Reader moves.
+  struct Span {
+    size_t offset = 0;
+    size_t size = 0;
+  };
+
   Reader() = default;
 
-  Result<const std::string*> Section(const std::string& name) const;
+  Result<std::string_view> Payload(const std::string& name) const;
 
   DatasetFingerprint fingerprint_;
-  std::map<std::string, std::string> sections_;
+  std::string file_;
+  std::map<std::string, Span> sections_;
 };
 
 }  // namespace pup::ckpt

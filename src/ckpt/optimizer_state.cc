@@ -3,7 +3,7 @@
 namespace pup::ckpt {
 
 Status SaveOptimizerState(const ag::Optimizer& optimizer, Writer* writer) {
-  ag::OptimizerState state = optimizer.ExportState();
+  const ag::OptimizerState& state = optimizer.ExportState();
   writer->AddU64("optim/step", static_cast<uint64_t>(state.step));
   writer->AddF32("optim/lr", state.learning_rate);
   writer->AddU64("optim/num_slots", state.slots.size());

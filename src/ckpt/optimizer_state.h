@@ -8,7 +8,9 @@
 
 namespace pup::ckpt {
 
-/// Writes `optimizer`'s exported state as "optim/…" sections.
+/// Adds `optimizer`'s exported state as "optim/…" sections. The slot
+/// sections borrow the optimizer's live moments (Writer::AddMatrix), so
+/// the optimizer must outlive `writer`'s WriteFile and not Step before it.
 Status SaveOptimizerState(const ag::Optimizer& optimizer, Writer* writer);
 
 /// Reads the "optim/…" sections written by SaveOptimizerState into a

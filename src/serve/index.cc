@@ -89,6 +89,8 @@ ServingIndex ServingIndex::Freeze(const models::DotScorer& scorer,
 }
 
 Status ServingIndex::Save(const std::string& path) const {
+  // The writer borrows every matrix until WriteFile, so the column
+  // vectors built here live in this scope, not in the branch below.
   ckpt::Writer writer(fingerprint_);
   writer.AddU64(kSecFormat, quantized() ? kIndexFormatVersionQuant
                                         : kIndexFormatVersion);
@@ -101,10 +103,11 @@ Status ServingIndex::Save(const std::string& path) const {
   la::Matrix prior(prior_.size(), 1);
   for (size_t i = 0; i < prior_.size(); ++i) prior(i, 0) = prior_[i];
   writer.AddMatrix(kSecPrior, prior);
+  la::Matrix scales, mins;
   if (quantized()) {
     writer.AddU64(kSecQuantMode, static_cast<uint64_t>(quant_mode_));
-    la::Matrix scales(quant_items_.rows(), 1);
-    la::Matrix mins(quant_items_.rows(), 1);
+    scales = la::Matrix(quant_items_.rows(), 1);
+    mins = la::Matrix(quant_items_.rows(), 1);
     for (size_t i = 0; i < quant_items_.rows(); ++i) {
       scales(i, 0) = quant_items_.scales()[i];
       mins(i, 0) = quant_items_.mins()[i];
