@@ -4,8 +4,11 @@
 // --benchmark_format=json to get the speedup counters in the JSON output.
 #include <benchmark/benchmark.h>
 
+#include <stdlib.h>
+
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <thread>
@@ -15,6 +18,7 @@
 #include "autograd/numeric_guard.h"
 #include "autograd/ops.h"
 #include "autograd/optimizer.h"
+#include "ckpt/checkpoint.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/simd.h"
@@ -642,6 +646,65 @@ void BM_AdamUpdate(benchmark::State& state) {
   ThreadPool::SetGlobalThreads(0);
 }
 BENCHMARK(BM_AdamUpdate)->Apply(AdamSweepArgs);
+
+// --- Checkpoint saves ----------------------------------------------------
+//
+// The ledger's train-mf workload snapshots after every epoch: a 4,800 x 64
+// user table, a 2,429 x 64 item table and both Adam moments of each,
+// 5.55 MB on disk. BM_Crc32 times the checksum over that many bytes and
+// BM_CheckpointWrite a whole save of those six tables.
+
+constexpr size_t kSnapshotUsers = 4800, kSnapshotItems = 2429;
+constexpr size_t kSnapshotBytes = 5552518;
+
+void BM_Crc32(benchmark::State& state) {
+  std::vector<unsigned char> buf(kSnapshotBytes);
+  Rng rng(41);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.NextU64());
+  Stopwatch timer;
+  size_t iters = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ckpt::Crc32(buf.data(), buf.size()));
+    ++iters;
+  }
+  state.counters["gb_per_s"] = static_cast<double>(iters * buf.size()) /
+                               timer.Seconds() / 1e9;
+}
+BENCHMARK(BM_Crc32);
+
+void BM_CheckpointWrite(benchmark::State& state) {
+  // The model tables, then the first and second moments of each.
+  std::vector<la::Matrix> tables;
+  for (uint64_t seed = 42; seed < 48; ++seed) {
+    tables.push_back(RandomMatrix(
+        seed % 2 == 0 ? kSnapshotUsers : kSnapshotItems, 64, seed));
+  }
+  std::vector<std::string> names;
+  for (size_t i = 0; i < tables.size(); ++i) {
+    names.push_back("bench/table" + std::to_string(i));
+  }
+  std::string dir = (std::filesystem::temp_directory_path() /
+                     "pup_bench_ckpt_XXXXXX")
+                        .string();
+  PUP_CHECK(::mkdtemp(dir.data()) != nullptr);
+  // Every save replaces the previous file, as the trainer's do across
+  // fits, so the rename's cost is counted too.
+  const std::string path = dir + "/ckpt.pupc";
+  Stopwatch timer;
+  size_t iters = 0;
+  for (auto _ : state) {
+    ckpt::Writer writer(ckpt::DatasetFingerprint{});
+    for (size_t i = 0; i < tables.size(); ++i) {
+      writer.AddMatrix(names[i], tables[i]);
+    }
+    PUP_CHECK(writer.WriteFile(path).ok());
+    ++iters;
+  }
+  state.counters["ms_per_save"] =
+      timer.Seconds() * 1e3 / static_cast<double>(iters);
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_CheckpointWrite)->Unit(benchmark::kMillisecond);
 
 // --- Quantized fastscan vs the f32 serving scan at the same shape ------
 //
