@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 
-#include "common/check.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
 
@@ -68,14 +67,24 @@ std::vector<std::string> Flags::UnusedFlags() const {
   return unused;
 }
 
-void ApplyThreadsFlag(const Flags& flags) {
-  ThreadPool::SetGlobalThreads(static_cast<int>(flags.GetInt("threads", 0)));
+Result<int> ThreadsFlag(const Flags& flags) {
+  PUP_ASSIGN_OR_RETURN(int threads, NonNegativeIntFlag<int>(flags, "threads"));
+  if (threads > kMaxThreadsFlag) {
+    return Status::InvalidArgument("--threads must be at most " +
+                                   std::to_string(kMaxThreadsFlag) + ": " +
+                                   std::to_string(threads));
+  }
+  return threads;
 }
 
-void ApplySimdFlag(const Flags& flags) {
-  const Status s =
-      simd::SetActiveIsaFromString(flags.GetString("simd", "auto"));
-  PUP_CHECK_MSG(s.ok(), s.message().c_str());
+Status ApplyThreadsFlag(const Flags& flags) {
+  PUP_ASSIGN_OR_RETURN(int threads, ThreadsFlag(flags));
+  ThreadPool::SetGlobalThreads(threads);
+  return Status::OK();
+}
+
+Status ApplySimdFlag(const Flags& flags) {
+  return simd::SetActiveIsaFromString(flags.GetString("simd", "auto"));
 }
 
 }  // namespace pup

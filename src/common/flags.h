@@ -63,16 +63,27 @@ Result<T> NonNegativeIntFlag(const Flags& flags, const std::string& name,
   return value;
 }
 
+/// Largest --threads value a tool accepts: a bigger one would start that
+/// many pool threads.
+inline constexpr int kMaxThreadsFlag = 1024;
+
+/// Reads the standard --threads flag strictly: absent or 0 means hardware
+/// concurrency (returned as 0); otherwise a whole non-negative integer of
+/// at most kMaxThreadsFlag, or InvalidArgument. Starts no thread.
+Result<int> ThreadsFlag(const Flags& flags);
+
 /// Sizes the global thread pool from the standard --threads flag
-/// (default: hardware concurrency; --threads=1 restores exact serial
-/// behavior). Call once at startup, before any parallel work runs.
-void ApplyThreadsFlag(const Flags& flags);
+/// (ThreadsFlag; default: hardware concurrency; --threads=1 restores
+/// exact serial behavior). A malformed value is an InvalidArgument and
+/// leaves the pool alone. Call once at startup, before any parallel work
+/// runs.
+Status ApplyThreadsFlag(const Flags& flags);
 
 /// Pins the SIMD kernel backend from the standard --simd flag
 /// (auto|off|avx2; default auto = widest supported ISA,
-/// --simd=off restores the exact scalar golden path). Aborts with a
-/// diagnostic on unknown or unsupported values. Call once at startup,
-/// before any kernel runs.
-void ApplySimdFlag(const Flags& flags);
+/// --simd=off restores the exact scalar golden path). An unknown or
+/// unsupported value is an InvalidArgument. Call once at startup, before
+/// any kernel runs.
+Status ApplySimdFlag(const Flags& flags);
 
 }  // namespace pup

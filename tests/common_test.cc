@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/rng.h"
+#include "common/simd.h"
 #include "common/status.h"
 #include "common/table.h"
 
@@ -414,6 +415,34 @@ TEST(FlagsTest, NonNegativeIntFlagRejectsMalformedValues) {
   // A signed type rejects a negative value by sign, not by parse.
   EXPECT_FALSE(NonNegativeIntFlag<int64_t>(f, "neg").ok());
   EXPECT_EQ(NonNegativeIntFlag<int64_t>(f, "wide").value(), 4294967296);
+}
+
+// --threads is checked by the parser alone, before any pool is sized, so
+// no value here starts a thread.
+TEST(FlagsTest, ThreadsFlagIsStrictAndCapped) {
+  EXPECT_EQ(ThreadsFlag(ParseArgs({})).value(), 0);  // All cores.
+  EXPECT_EQ(ThreadsFlag(ParseArgs({"--threads=0"})).value(), 0);
+  EXPECT_EQ(ThreadsFlag(ParseArgs({"--threads", "4"})).value(), 4);
+  EXPECT_EQ(ThreadsFlag(ParseArgs({"--threads=1024"})).value(),
+            kMaxThreadsFlag);
+  for (const char* bad : {"--threads=1025", "--threads=2147483648",
+                          "--threads=abc", "--threads=-1", "--threads=2x",
+                          "--threads"}) {
+    Result<int> threads = ThreadsFlag(ParseArgs({bad}));
+    ASSERT_FALSE(threads.ok()) << bad;
+    EXPECT_EQ(threads.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(threads.status().message().find("--threads"),
+              std::string::npos)
+        << threads.status().ToString();
+  }
+}
+
+TEST(FlagsTest, SimdFlagRejectsUnknownBackendWithStatus) {
+  const simd::Isa before = simd::ActiveIsa();
+  const Status st = ApplySimdFlag(ParseArgs({"--simd", "avx512"}));
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("avx512"), std::string::npos);
+  EXPECT_EQ(simd::ActiveIsa(), before);
 }
 
 }  // namespace

@@ -14,7 +14,8 @@
 //       fit on train → report Recall/NDCG on the test split. --levels,
 //       --kcore, --epochs, --dim and --seed are parsed strictly, as
 //       serve's integer flags are: 0 is invalid for --levels, --epochs
-//       and --dim, and --dim must be at least 8 for pup.
+//       and --dim, and --dim must be at least 8 for pup. A --kcore that
+//       leaves no training interactions is an InvalidArgument (exit 2).
 //
 //   serve    --index FILE [--topk N] [--requests N] [--clients N]
 //            [--batch B] [--timeout-us T] [--cache N] [--zipf S] [--seed N]
@@ -89,7 +90,7 @@ int Usage() {
                "                     [--timeout-us T] [--cache N] [--zipf S] "
                "[--seed N] [--quant off|int8|int4] [--rerank R]\n"
                "       global: --threads N (default: hardware concurrency; "
-               "1 = exact serial)\n"
+               "1 = exact serial; at most 1024)\n"
                "               --simd=auto|off|avx2 kernel "
                "backend (default: auto; off = scalar golden path)\n"
                "               --check-numerics[=0|1] NaN/Inf tape scan "
@@ -303,6 +304,15 @@ int RunTrain(const Flags& flags) {
   std::printf("dataset after preprocessing: %s\n", ds.Summary().c_str());
 
   data::DataSplit split = data::TemporalSplit(ds);
+  // A k-core above every degree filters everything out; no model can fit
+  // an empty training split.
+  if (split.train.empty()) {
+    const Status empty = Status::InvalidArgument(
+        "--kcore " + std::to_string(kcore) +
+        " leaves no training interactions (" + ds.Summary() + ")");
+    std::fprintf(stderr, "%s\n", empty.ToString().c_str());
+    return 2;
+  }
   std::string model_name = flags.GetString("model", "pup");
   auto model = MakeModel(model_name, flags);
   if (!model) return 2;
@@ -528,8 +538,12 @@ int RunServe(const Flags& flags) {
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   Flags flags = Flags::Parse(argc, argv);
-  ApplyThreadsFlag(flags);
-  ApplySimdFlag(flags);
+  for (const Status& st : {ApplyThreadsFlag(flags), ApplySimdFlag(flags)}) {
+    if (!st.ok()) {
+      std::fprintf(stderr, "%s\n", st.ToString().c_str());
+      return 2;
+    }
+  }
   // Dumps the metrics registry / chrome trace when main returns.
   obs::ScopedExport obs_export(flags.GetString("metrics-out", ""),
                                flags.GetString("trace-out", ""));
