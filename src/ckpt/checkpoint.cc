@@ -118,43 +118,10 @@ Status ParseMatrixShape(std::string_view buf, const std::string& name,
 void CopyMatrixRows(std::string_view buf, la::Matrix* m) {
   const char* rows = buf.data() + 2 * sizeof(uint64_t);
   const size_t row_bytes = m->cols() * sizeof(float);
-  if (m->IsContiguous()) {
-    if (m->size() > 0) std::memcpy(m->data(), rows, m->size() * sizeof(float));
-    return;
-  }
   for (size_t r = 0; r < m->rows(); ++r) {
     std::memcpy(m->Row(r), rows + r * row_bytes, row_bytes);
   }
 }
-
-// Writes to an open file, counting bytes. The first short write latches
-// `ok()` false; later writes are skipped.
-class FileSink {
- public:
-  explicit FileSink(std::FILE* f) : f_(f) {}
-
-  void Write(const void* data, size_t len) {
-    if (ok_ && len > 0 && std::fwrite(data, 1, len, f_) != len) ok_ = false;
-    bytes_ += len;
-  }
-  template <typename T>
-  void WritePod(const T& v) {
-    Write(&v, sizeof(v));
-  }
-  // Writes `len` bytes and returns `crc` continued over them.
-  uint32_t WriteCrc(const void* data, size_t len, uint32_t crc) {
-    Write(data, len);
-    return Crc32(data, len, crc);
-  }
-
-  bool ok() const { return ok_; }
-  uint64_t bytes() const { return bytes_; }
-
- private:
-  std::FILE* f_;
-  bool ok_ = true;
-  uint64_t bytes_ = 0;
-};
 
 // FNV-1a 64-bit over a POD value, continuing from `h`.
 template <typename T>
@@ -271,34 +238,45 @@ Status Writer::WriteFile(const std::string& path) const {
   PUP_CHECK_EQ(header.size(), kHeaderSize);
 
   const std::string tmp = path + ".tmp";
-  uint64_t bytes_written = 0;
+  uint64_t bytes_written = header.size();
   {
     FilePtr f(std::fopen(tmp.c_str(), "wb"));
     if (!f) return Status::IOError("cannot open for write: " + tmp);
     // Each section goes from its source through one CRC pass into the
     // file: a matrix's rows from the tensor's own memory, in one run
     // when they are dense and row by row past the pad lanes otherwise.
-    // The CRC covers name and payload, not the two length fields.
-    FileSink out(f.get());
-    out.Write(header.data(), header.size());
+    // The CRC covers name and payload, not the two length fields. stdio
+    // latches a failed write, so ferror() is checked once at the end.
+    const auto put = [out = f.get()](const void* data, size_t len) {
+      std::fwrite(data, 1, len, out);
+    };
+    const auto put_crc = [&put](const void* data, size_t len, uint32_t crc) {
+      put(data, len);
+      return Crc32(data, len, crc);
+    };
+    put(header.data(), header.size());
     for (const Section& section : sections_) {
       const la::Matrix* m = section.matrix;
-      const uint64_t body = m ? m->size() * sizeof(float) : 0;
-      out.WritePod(static_cast<uint32_t>(section.name.size()));
-      out.Write(section.name.data(), section.name.size());
-      out.WritePod(static_cast<uint64_t>(section.bytes.size() + body));
-      uint32_t crc = Crc32(section.name.data(), section.name.size());
-      crc = out.WriteCrc(section.bytes.data(), section.bytes.size(), crc);
+      const uint32_t name_len = static_cast<uint32_t>(section.name.size());
+      const uint64_t payload_len =
+          section.bytes.size() + (m ? m->size() * sizeof(float) : 0);
+      put(&name_len, sizeof(name_len));
+      put(section.name.data(), name_len);
+      put(&payload_len, sizeof(payload_len));
+      uint32_t crc = Crc32(section.name.data(), name_len);
+      crc = put_crc(section.bytes.data(), section.bytes.size(), crc);
       if (m != nullptr && m->IsContiguous()) {
-        crc = out.WriteCrc(m->data(), body, crc);
+        crc = put_crc(m->data(), m->size() * sizeof(float), crc);
       } else if (m != nullptr) {
         for (size_t r = 0; r < m->rows(); ++r) {
-          crc = out.WriteCrc(m->Row(r), m->cols() * sizeof(float), crc);
+          crc = put_crc(m->Row(r), m->cols() * sizeof(float), crc);
         }
       }
-      out.WritePod(crc);
+      put(&crc, sizeof(crc));
+      bytes_written += sizeof(name_len) + name_len + sizeof(payload_len) +
+                       payload_len + sizeof(crc);
     }
-    if (!out.ok()) {
+    if (std::ferror(f.get()) != 0) {
       std::remove(tmp.c_str());
       return Status::IOError("short write: " + tmp);
     }
@@ -306,7 +284,6 @@ Status Writer::WriteFile(const std::string& path) const {
       std::remove(tmp.c_str());
       return Status::IOError("flush failed: " + tmp);
     }
-    bytes_written = out.bytes();
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
