@@ -22,13 +22,10 @@
 int main(int argc, char** argv) {
   using namespace pup;
   Flags flags = Flags::Parse(argc, argv);
-  // --threads=N (default: all cores) and --simd=auto|off|avx2 (default:
-  // auto); a malformed value is an InvalidArgument and exit code 2.
-  for (const Status& st : {ApplyThreadsFlag(flags), ApplySimdFlag(flags)}) {
-    if (!st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 2;
-    }
+  // --threads=N (default: all cores), --simd=auto|off|avx2 (default: auto).
+  if (Status st = ApplyRuntimeFlags(flags); !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    return 2;
   }
   // --ckpt-dir/--save-every/--resume make the training runs crash-safe;
   // each variant snapshots into its own subdirectory.

@@ -77,13 +77,9 @@ Result<int> ThreadsFlag(const Flags& flags) {
   return threads;
 }
 
-Status ApplyThreadsFlag(const Flags& flags) {
+Status ApplyRuntimeFlags(const Flags& flags) {
   PUP_ASSIGN_OR_RETURN(int threads, ThreadsFlag(flags));
   ThreadPool::SetGlobalThreads(threads);
-  return Status::OK();
-}
-
-Status ApplySimdFlag(const Flags& flags) {
   return simd::SetActiveIsaFromString(flags.GetString("simd", "auto"));
 }
 

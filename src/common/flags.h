@@ -72,18 +72,14 @@ inline constexpr int kMaxThreadsFlag = 1024;
 /// at most kMaxThreadsFlag, or InvalidArgument. Starts no thread.
 Result<int> ThreadsFlag(const Flags& flags);
 
-/// Sizes the global thread pool from the standard --threads flag
-/// (ThreadsFlag; default: hardware concurrency; --threads=1 restores
-/// exact serial behavior). A malformed value is an InvalidArgument and
-/// leaves the pool alone. Call once at startup, before any parallel work
-/// runs.
-Status ApplyThreadsFlag(const Flags& flags);
-
-/// Pins the SIMD kernel backend from the standard --simd flag
-/// (auto|off|avx2; default auto = widest supported ISA,
-/// --simd=off restores the exact scalar golden path). An unknown or
-/// unsupported value is an InvalidArgument. Call once at startup, before
-/// any kernel runs.
-Status ApplySimdFlag(const Flags& flags);
+/// Applies the standard runtime flags, --threads then --simd, and returns
+/// the first error; a flag after a failed one is left unapplied.
+/// --threads (ThreadsFlag; default: hardware concurrency; --threads=1
+/// restores exact serial behavior) sizes the global thread pool. --simd
+/// (auto|off|avx2; default auto = widest supported ISA; --simd=off
+/// restores the exact scalar golden path) pins the kernel backend; an
+/// unknown or unsupported value is an InvalidArgument. Call once at
+/// startup, before any parallel work or kernel runs.
+Status ApplyRuntimeFlags(const Flags& flags);
 
 }  // namespace pup

@@ -43,7 +43,7 @@ Isa DetectBestIsa();
 Isa ActiveIsa();
 
 /// Pins the active ISA. PUP_CHECKs that `isa` is supported. Exposed for
-/// tests and ApplySimdFlag; not thread-safe against in-flight kernels
+/// tests and ApplyRuntimeFlags; not thread-safe against in-flight kernels
 /// (set it at startup, before parallel work).
 void SetActiveIsa(Isa isa);
 

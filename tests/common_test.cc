@@ -437,11 +437,24 @@ TEST(FlagsTest, ThreadsFlagIsStrictAndCapped) {
   }
 }
 
+// Without --threads the pool keeps its default size, so no thread starts.
 TEST(FlagsTest, SimdFlagRejectsUnknownBackendWithStatus) {
   const simd::Isa before = simd::ActiveIsa();
-  const Status st = ApplySimdFlag(ParseArgs({"--simd", "avx512"}));
+  const Status st = ApplyRuntimeFlags(ParseArgs({"--simd", "avx512"}));
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(st.message().find("avx512"), std::string::npos);
+  EXPECT_EQ(simd::ActiveIsa(), before);
+}
+
+// A bad --threads fails in the parser, and the --simd after it is not
+// applied.
+TEST(FlagsTest, RuntimeFlagsStopAtTheFirstBadFlag) {
+  const simd::Isa before = simd::ActiveIsa();
+  const char* other = before == simd::Isa::kOff ? "auto" : "off";
+  const Status st =
+      ApplyRuntimeFlags(ParseArgs({"--threads", "abc", "--simd", other}));
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("--threads"), std::string::npos);
   EXPECT_EQ(simd::ActiveIsa(), before);
 }
 

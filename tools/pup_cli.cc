@@ -538,11 +538,9 @@ int RunServe(const Flags& flags) {
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   Flags flags = Flags::Parse(argc, argv);
-  for (const Status& st : {ApplyThreadsFlag(flags), ApplySimdFlag(flags)}) {
-    if (!st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 2;
-    }
+  if (Status st = ApplyRuntimeFlags(flags); !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    return 2;
   }
   // Dumps the metrics registry / chrome trace when main returns.
   obs::ScopedExport obs_export(flags.GetString("metrics-out", ""),
