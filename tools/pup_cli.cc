@@ -300,16 +300,21 @@ int RunTrain(const Flags& flags) {
     std::fprintf(stderr, "quantization failed: %s\n", st.ToString().c_str());
     return 1;
   }
+  const bool had_interactions = !ds.interactions.empty();
   ds = data::KCoreFilter(ds, kcore);
   std::printf("dataset after preprocessing: %s\n", ds.Summary().c_str());
 
   data::DataSplit split = data::TemporalSplit(ds);
-  // A k-core above every degree filters everything out; no model can fit
-  // an empty training split.
+  // No model can fit an empty training split. Name --kcore only when the
+  // filter is what emptied the data.
   if (split.train.empty()) {
-    const Status empty = Status::InvalidArgument(
-        "--kcore " + std::to_string(kcore) +
-        " leaves no training interactions (" + ds.Summary() + ")");
+    const std::string why =
+        had_interactions && ds.interactions.empty()
+            ? "--kcore " + std::to_string(kcore) +
+                  " leaves no training interactions"
+            : std::string("training split is empty");
+    const Status empty =
+        Status::InvalidArgument(why + " (" + ds.Summary() + ")");
     std::fprintf(stderr, "%s\n", empty.ToString().c_str());
     return 2;
   }
